@@ -10,6 +10,7 @@ reruns produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -143,8 +144,7 @@ def _cmd_train(args) -> None:
     val_set = dataset.normalize_set(norm, val_raw)
     test_set = dataset.normalize_set(norm, test_raw)
 
-    cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures,
-                          seed=args.seed)
+    cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
     model = mlp.init_model(args.seed, norm, cube.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
@@ -157,7 +157,7 @@ def _cmd_train(args) -> None:
     full_report = {
         "dataset": dataset.dataset_report(balanced),
         "split": {"train": len(train_set), "val": len(val_set), "test": len(test_set)},
-        "training": report.to_dict(),
+        "training": dataclasses.asdict(report),
         "test": test_metrics,
     }
     raster_io.atomic_write_bytes(args.report or args.out + ".report.json",

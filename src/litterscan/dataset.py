@@ -21,7 +21,7 @@ from .resample import AlignedCube
 from .rng import SplitMix64
 
 N_FEATURES = 13
-MLP_WEIGHT_COUNT = 151  # 14*10 + 11, fixed by the 13-10-1 network shape
+LSET1_RECORD = np.dtype([("f", "<f4", (N_FEATURES,)), ("y", "u1")])
 MIN_SAMPLES_PER_WEIGHT = 15
 
 
@@ -160,14 +160,16 @@ def normalize_set(norm: Normalizer, samples: SampleSet) -> SampleSet:
 
 
 def dataset_report(samples: SampleSet) -> dict:
+    from .mlp import N_PARAMS  # mlp imports this module, so bind at call time
+
     n = len(samples)
     n_pos = int(samples.labels.sum())
-    spw = n / MLP_WEIGHT_COUNT
+    spw = n / N_PARAMS
     return {
         "n_samples": n,
         "n_negative": n - n_pos,
         "n_positive": n_pos,
-        "n_weights": MLP_WEIGHT_COUNT,
+        "n_weights": N_PARAMS,
         "samples_per_weight": spw,
         "samples_per_weight_ok": spw > MIN_SAMPLES_PER_WEIGHT,
     }
@@ -180,12 +182,10 @@ def save_samples(samples: SampleSet, path: str | os.PathLike) -> None:
     header = "LSET1 {} {} {}\n".format(
         len(samples), N_FEATURES, ",".join(samples.band_order)
     ).encode("ascii")
-    feats = samples.features.astype("<f4")
-    body = bytearray()
-    for i in range(len(samples)):
-        body += feats[i].tobytes()
-        body.append(int(samples.labels[i]))
-    atomic_write_bytes(path, header + bytes(body))
+    records = np.empty(len(samples), dtype=LSET1_RECORD)
+    records["f"] = samples.features
+    records["y"] = samples.labels
+    atomic_write_bytes(path, header + records.tobytes())
 
 
 def load_samples(path: str | os.PathLike) -> SampleSet:
@@ -198,8 +198,7 @@ def load_samples(path: str | os.PathLike) -> SampleSet:
         band_order = tuple(parts[3].split(","))
         if n_feat != N_FEATURES:
             raise ValueError(f"sample container has {n_feat} features")
-        record = np.dtype([("f", "<f4", (N_FEATURES,)), ("y", "u1")])
-        data = np.frombuffer(f.read(), dtype=record)
+        data = np.frombuffer(f.read(), dtype=LSET1_RECORD)
         if data.size != count:
             raise ValueError(f"sample container has {data.size} records, expected {count}")
     return SampleSet(data["f"].astype(np.float64), data["y"], band_order)

@@ -3,6 +3,10 @@ mean-squared-error loss, exact backprop gradients, and a Polak-Ribiere+
 conjugate-gradient trainer with Armijo backtracking and validation-based
 early stopping.
 
+The optimizer's constants are fixed (Nocedal & Wright, Numerical Optimization,
+sections 3.1 and 5.2): CG restarts every N_PARAMS iterations; Armijo search
+starts at step 1, halves it on rejection and uses sufficient-decrease c = 1e-4.
+
 Flat weight layout (151 = 14*10 + 11): the 10x14 hidden matrix row-major
 (columns 0..12 input weights, column 13 bias), then the 11 output weights
 (10 hidden weights, then bias). Gradients, serialization and tests all use
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_FEATURES, Normalizer, SampleSet, apply_normalizer
-from .indexes import IndexMap
+from .indexes import IndexMap, threshold_map
 from .raster_io import LabelMask, atomic_write_bytes
 from .resample import AlignedCube
 from .rng import SplitMix64
@@ -27,6 +31,12 @@ from .rng import SplitMix64
 N_HIDDEN = 10
 N_PARAMS = (N_FEATURES + 1) * N_HIDDEN + (N_HIDDEN + 1)  # 151
 MODEL_SCHEMA_VERSION = 1
+ACTIVATIONS = ("tanh", "logistic")  # hidden, output; the only pair supported
+
+CG_RESTART_EVERY = N_PARAMS
+ARMIJO_INITIAL_STEP = 1.0
+ARMIJO_SHRINK = 0.5
+ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
@@ -35,8 +45,6 @@ class MlpModel:
     w_output: np.ndarray  # (11,)
     normalizer: Normalizer
     band_order: tuple[str, ...]
-    hidden_activation: str = "tanh"
-    output_activation: str = "logistic"
 
     def __post_init__(self):
         wh = np.ascontiguousarray(np.asarray(self.w_hidden, dtype=np.float64))
@@ -47,8 +55,6 @@ class MlpModel:
             raise ValueError(f"w_output must be ({N_HIDDEN + 1},)")
         if not (np.isfinite(wh).all() and np.isfinite(wo).all()):
             raise ValueError("weights must be finite")
-        if self.hidden_activation != "tanh" or self.output_activation != "logistic":
-            raise ValueError("unsupported activation tags")
         if len(self.band_order) != N_FEATURES:
             raise ValueError(f"band_order must list {N_FEATURES} bands")
         wh.setflags(write=False)
@@ -64,28 +70,18 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Stopping rules of `train`. The PR+ restart period and the Armijo
+    constants are fixed: see CG_RESTART_EVERY and ARMIJO_*."""
+
     max_iters: int = 1000
-    val_check_every: int = 1
     max_val_failures: int = 6
-    seed: int = 0
-    cg_restart_every: int = N_PARAMS
-    armijo_initial_step: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_c: float = 1e-4
     grad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        for name in ("val_check_every", "max_val_failures", "cg_restart_every"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo_shrink must be in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if self.armijo_initial_step <= 0:
-            raise ValueError("armijo_initial_step must be positive")
+        if self.max_val_failures <= 0:
+            raise ValueError("max_val_failures must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,15 +91,6 @@ class TrainReport:
     final_val_loss: float
     stop_reason: str  # max_iters | val_early_stop | gradient_converged
     loss_history: tuple[tuple[int, float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations_run": self.iterations_run,
-            "final_train_loss": self.final_train_loss,
-            "final_val_loss": self.final_val_loss,
-            "stop_reason": self.stop_reason,
-            "loss_history": [list(h) for h in self.loss_history],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +119,7 @@ def with_weights(model: MlpModel, flat: np.ndarray) -> MlpModel:
         raise ValueError(f"expected {N_PARAMS} weights, got {flat.shape}")
     n_h = N_HIDDEN * (N_FEATURES + 1)
     return MlpModel(flat[:n_h].reshape(N_HIDDEN, N_FEATURES + 1), flat[n_h:],
-                    model.normalizer, model.band_order,
-                    model.hidden_activation, model.output_activation)
+                    model.normalizer, model.band_order)
 
 
 _TINY = np.nextafter(0.0, 1.0)
@@ -151,12 +137,15 @@ def _logistic(z):
     return np.clip(out, _TINY, _ALMOST_ONE)
 
 
+def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 13) float64 inputs -> hidden activations (n, 10), outputs (n,)."""
+    h = np.tanh(x @ model.w_hidden[:, :N_FEATURES].T + model.w_hidden[:, N_FEATURES])
+    return h, _logistic(h @ model.w_output[:N_HIDDEN] + model.w_output[N_HIDDEN])
+
+
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """x: (n, 13) normalized features -> (n,) outputs in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.tanh(x @ model.w_hidden[:, :N_FEATURES].T + model.w_hidden[:, N_FEATURES])
-    z = h @ model.w_output[:N_HIDDEN] + model.w_output[N_HIDDEN]
-    return _logistic(z)
+    return _forward(model, np.asarray(x, dtype=np.float64))[1]
 
 
 def forward(model: MlpModel, x) -> float:
@@ -184,9 +173,7 @@ def gradient(model: MlpModel, samples: SampleSet) -> np.ndarray:
     x = samples.features
     t = samples.labels.astype(np.float64)
     n = x.shape[0]
-
-    h = np.tanh(x @ model.w_hidden[:, :N_FEATURES].T + model.w_hidden[:, N_FEATURES])
-    y = _logistic(h @ model.w_output[:N_HIDDEN] + model.w_output[N_HIDDEN])
+    h, y = _forward(model, x)
 
     # dL/dz_out = 2/n * (y - t) * y * (1 - y)
     dz_out = (2.0 / n) * (y - t) * y * (1.0 - y)          # (n,)
@@ -206,11 +193,11 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
           cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainReport]:
     """Polak-Ribiere+ conjugate gradient on the 151-d weight vector.
 
-    Direction restarts to steepest descent every cfg.cg_restart_every
+    Direction restarts to steepest descent every CG_RESTART_EVERY
     iterations or whenever the CG direction fails the descent test; step
     lengths come from Armijo backtracking, so the train loss never
     increases across accepted steps. The model with the best validation
-    loss seen at a check is the one returned.
+    loss seen after any accepted step is the one returned.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be nonempty")
@@ -242,20 +229,18 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
             break
 
         slope = float(g @ d)
-        if slope >= 0.0 or (k - 1) % cfg.cg_restart_every == 0 and k > 1:
+        if slope >= 0.0 or (k - 1) % CG_RESTART_EVERY == 0 and k > 1:
             d = -g
             slope = -gnorm * gnorm
 
         # Armijo backtracking
-        alpha = cfg.armijo_initial_step
-        accepted = False
+        alpha = ARMIJO_INITIAL_STEP
         for _ in range(60):
             f_new = f(w + alpha * d)
-            if math.isfinite(f_new) and f_new <= f_w + cfg.armijo_c * alpha * slope:
-                accepted = True
+            if math.isfinite(f_new) and f_new <= f_w + ARMIJO_C * alpha * slope:
                 break
-            alpha *= cfg.armijo_shrink
-        if not accepted:
+            alpha *= ARMIJO_SHRINK
+        else:
             if np.array_equal(d, -g):
                 stop_reason = "gradient_converged"  # no decrease along -g
                 break
@@ -266,21 +251,20 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
         g_new = gradient(with_weights(model, w_new), train_set)
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
         d = -g_new + beta * d
-        w, g, f_w = w_new, g_new, f(w_new)
+        w, g, f_w = w_new, g_new, f_new
         iters = k
 
-        if k % cfg.val_check_every == 0:
-            v = fval(w)
-            history.append((k, f_w, v))
-            if v < best_val:
-                best_val = v
-                best_w = w.copy()
-                failures = 0
-            else:
-                failures += 1
-                if failures >= cfg.max_val_failures:
-                    stop_reason = "val_early_stop"
-                    break
+        v = fval(w)
+        history.append((k, f_w, v))
+        if v < best_val:
+            best_val = v
+            best_w = w.copy()
+            failures = 0
+        else:
+            failures += 1
+            if failures >= cfg.max_val_failures:
+                stop_reason = "val_early_stop"
+                break
 
     final = with_weights(model, best_w)
     report = TrainReport(
@@ -304,15 +288,15 @@ def predict_map(model: MlpModel, cube: AlignedCube,
             f"cube bands {cube.band_ids} do not match model bands {model.band_order}"
         )
     x = apply_normalizer(model.normalizer, cube.values.reshape(-1, N_FEATURES))
-    y = forward_batch(model, x).reshape(cube.rows, cube.cols)
-    return LabelMask((y >= threshold).astype(np.uint8)), IndexMap(y)
+    omap = IndexMap(forward_batch(model, x).reshape(cube.rows, cube.cols))
+    return threshold_map(omap, threshold), omap
 
 
 def save_model(model: MlpModel, path: str | os.PathLike) -> None:
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "shape": [N_FEATURES, N_HIDDEN, 1],
-        "activations": [model.hidden_activation, model.output_activation],
+        "activations": list(ACTIVATIONS),
         "weights_hidden": [list(row) for row in model.w_hidden],
         "weights_output": list(model.w_output),
         "normalizer": {
@@ -324,18 +308,36 @@ def save_model(model: MlpModel, path: str | os.PathLike) -> None:
     atomic_write_bytes(path, json.dumps(doc, indent=2).encode())
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"model {what} must be an array of numbers") from None
+
+
 def load_model(path: str | os.PathLike) -> MlpModel:
+    """Parse a model JSON written by `save_model`; anything else, including
+    another schema_version, raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("shape") != [N_FEATURES, N_HIDDEN, 1]:
-        raise ValueError(f"unsupported model shape {doc.get('shape')}")
-    wh = np.asarray(doc["weights_hidden"], dtype=np.float64)
-    wo = np.asarray(doc["weights_output"], dtype=np.float64)
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
+    for key, want in (("schema_version", MODEL_SCHEMA_VERSION),
+                      ("shape", [N_FEATURES, N_HIDDEN, 1]),
+                      ("activations", list(ACTIVATIONS))):
+        if doc.get(key) != want:
+            raise ValueError(f"unsupported model {key} {doc.get(key)!r}, expected {want}")
+    wh = _numbers(doc.get("weights_hidden"), "weights_hidden")
+    wo = _numbers(doc.get("weights_output"), "weights_output")
     if wh.shape != (N_HIDDEN, N_FEATURES + 1) or wo.shape != (N_HIDDEN + 1,):
         raise ValueError(
             f"model has wrong parameter counts: hidden {wh.shape}, output {wo.shape}"
         )
-    norm = Normalizer(np.asarray(doc["normalizer"]["min"], dtype=np.float64),
-                      np.asarray(doc["normalizer"]["max"], dtype=np.float64))
-    act = doc.get("activations", ["tanh", "logistic"])
-    return MlpModel(wh, wo, norm, tuple(doc["band_order"]), act[0], act[1])
+    norm, bands = doc.get("normalizer"), doc.get("band_order")
+    if not isinstance(norm, dict):
+        raise ValueError("model normalizer must be an object with min and max")
+    if not (isinstance(bands, list) and all(isinstance(b, str) for b in bands)):
+        raise ValueError("model band_order must be a list of band ids")
+    return MlpModel(wh, wo, Normalizer(_numbers(norm.get("min"), "normalizer min"),
+                                       _numbers(norm.get("max"), "normalizer max")),
+                    tuple(bands))

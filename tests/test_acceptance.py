@@ -140,7 +140,7 @@ def test_criterion_05_xor_capability():
     wins = 0
     for seed in range(10):
         m = init_model(seed, UNIT_NORM, CANONICAL_ORDER)
-        cfg = TrainConfig(max_iters=2000, max_val_failures=10**9, seed=seed)
+        cfg = TrainConfig(max_iters=2000, max_val_failures=10**9)
         _, rep = train(m, s, s, cfg)
         wins += rep.final_train_loss < 0.01
     assert wins >= 8

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
+from litterscan.dataset import Normalizer
+from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import read_float_raster, read_mask
 from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
@@ -152,3 +155,46 @@ def test_synthetic_rerun_identical(tmp_path):
                    "--seed", "3") == 0
         paths.append((tmp_path / f"{name}.cube.f32").read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.fixture
+def model_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_model(0, Normalizer(np.zeros(13), np.ones(13)), CANONICAL_ORDER),
+               path)
+    return path
+
+
+MALFORMED_MODELS = {
+    "not_an_object": lambda doc: [1, 2],
+    "schema_version_99": lambda doc: {**doc, "schema_version": 99},
+    "schema_version_missing": lambda doc: {k: v for k, v in doc.items()
+                                           if k != "schema_version"},
+    "normalizer_list": lambda doc: {**doc, "normalizer": [1]},
+    "activations_relu": lambda doc: {**doc, "activations": ["relu", "logistic"]},
+    "weights_object": lambda doc: {**doc, "weights_output": {"w": 1}},
+    "band_order_number": lambda doc: {**doc, "band_order": 13},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_predict_rejects_malformed_model(tmp_path, scene, model_path, capsys, case):
+    cube_path, _ = scene
+    doc = MALFORMED_MODELS[case](json.loads(model_path.read_text()))
+    model_path.write_text(json.dumps(doc))
+    pred = tmp_path / "pred.pgm"
+    assert run("predict", "--model", str(model_path), "--cube", str(cube_path),
+               "--out", str(pred)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("litterscan predict: ")
+    assert err.count("\n") == 1
+    assert not pred.exists()
+
+
+def test_predict_rejects_nan_threshold(tmp_path, scene, model_path, capsys):
+    cube_path, _ = scene
+    pred = tmp_path / "pred.pgm"
+    assert run("predict", "--model", str(model_path), "--cube", str(cube_path),
+               "--out", str(pred), "--threshold", "nan") == 1
+    assert capsys.readouterr().err == "litterscan predict: threshold must be finite\n"
+    assert not pred.exists()

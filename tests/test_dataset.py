@@ -7,7 +7,6 @@ import pytest
 from conftest import make_cube
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import (
-    MLP_WEIGHT_COUNT,
     Normalizer,
     SampleSet,
     SplitSpec,
@@ -173,6 +172,20 @@ def test_sample_container_round_trip(tmp_path):
     assert np.array_equal(back.features, s.features)
     assert np.array_equal(back.labels, s.labels)
     assert back.band_order == s.band_order
+
+
+def test_sample_container_bytes_match_per_record_layout(tmp_path):
+    # features keep full float64 precision here, so the f32 narrowing is
+    # exercised too; the oracle writes one record at a time
+    s = sample_set([0, 1, 1, 0, 1, 1, 0], seed=5)
+    path = tmp_path / "s.lset"
+    save_samples(s, path)
+    body = bytearray()
+    for feats, label in zip(s.features, s.labels):
+        body += feats.astype("<f4").tobytes()
+        body.append(int(label))
+    header = ("LSET1 7 13 " + ",".join(CANONICAL_ORDER) + "\n").encode("ascii")
+    assert path.read_bytes() == header + bytes(body)
 
 
 # --- frozen reference outputs for seeds 0 and 1 ---

@@ -227,6 +227,9 @@ def test_predict_map_threshold_and_range():
     assert ((omap.values > 0) & (omap.values < 1)).all()
     mask0, _ = predict_map(m, cube, threshold=-0.1)
     assert mask0.labels.all()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            predict_map(m, cube, threshold=bad)
 
 
 def test_predict_map_band_mismatch():
