@@ -17,7 +17,7 @@ class BandSpec:
     def __post_init__(self):
         if self.id not in CANONICAL_ORDER:
             raise ValueError(f"unknown band id {self.id!r}")
-        if self.wavelength_nm <= 0:
+        if not self.wavelength_nm > 0:  # also rejects NaN
             raise ValueError("wavelength_nm must be positive")
         if self.native_gsd_m not in (10.0, 20.0, 60.0):
             raise ValueError("native_gsd_m must be one of 10, 20, 60")

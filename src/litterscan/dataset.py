@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster_io import LabelMask, atomic_write_bytes
+from .raster_io import LabelMask, atomic_write_bytes, read_payload
 from .resample import AlignedCube
 from .rng import SplitMix64
 
@@ -190,15 +190,11 @@ def save_samples(samples: SampleSet, path: str | os.PathLike) -> None:
 
 def load_samples(path: str | os.PathLike) -> SampleSet:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii")
+        header = f.readline().decode("ascii", "replace")
         parts = header.split()
-        if len(parts) != 4 or parts[0] != "LSET1":
-            raise ValueError(f"bad sample container header: {header!r}")
-        count, n_feat = int(parts[1]), int(parts[2])
-        band_order = tuple(parts[3].split(","))
-        if n_feat != N_FEATURES:
-            raise ValueError(f"sample container has {n_feat} features")
-        data = np.frombuffer(f.read(), dtype=LSET1_RECORD)
-        if data.size != count:
-            raise ValueError(f"sample container has {data.size} records, expected {count}")
-    return SampleSet(data["f"].astype(np.float64), data["y"], band_order)
+        if (len(parts) != 4 or parts[0] != "LSET1" or not parts[1].isdecimal()
+                or parts[2] != str(N_FEATURES)):
+            raise ValueError(f"bad sample container header: {header!r} "
+                             f"(expected 'LSET1 <count> {N_FEATURES} <id,...>')")
+        data = read_payload(f, LSET1_RECORD, int(parts[1]), "sample container")
+    return SampleSet(data["f"].astype(np.float64), data["y"], tuple(parts[3].split(",")))

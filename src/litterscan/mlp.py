@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import N_FEATURES, Normalizer, SampleSet, apply_normalizer
 from .indexes import IndexMap, threshold_map
-from .raster_io import LabelMask, atomic_write_bytes
+from .raster_io import LabelMask, atomic_write_bytes, read_json_object
 from .resample import AlignedCube
 from .rng import SplitMix64
 
@@ -311,17 +311,14 @@ def save_model(model: MlpModel, path: str | os.PathLike) -> None:
 def _numbers(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"model {what} must be an array of numbers") from None
 
 
 def load_model(path: str | os.PathLike) -> MlpModel:
     """Parse a model JSON written by `save_model`; anything else, including
     another schema_version, raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("model file must hold a JSON object")
+    doc = read_json_object(path, "model")
     for key, want in (("schema_version", MODEL_SCHEMA_VERSION),
                       ("shape", [N_FEATURES, N_HIDDEN, 1]),
                       ("activations", list(ACTIVATIONS))):

@@ -19,10 +19,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
-from .bands import BandSpec, canonical_index, canonical_spec
+from .bands import BandSpec, canonical_index
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
@@ -37,6 +38,44 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json_object(path: str | os.PathLike, what: str) -> dict:
+    """Parse a UTF-8 JSON file that must hold an object."""
+    path = os.fspath(path)
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, deep nesting
+            raise ValueError(f"malformed {what} {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what} {path}: not a JSON object")
+    return doc
+
+
+def read_dims(doc: dict, what: str, *keys: str) -> tuple[int, ...]:
+    """The values of `keys` in `doc`, each a JSON integer > 0."""
+    for key in keys:
+        value = doc.get(key)
+        if type(value) is not int or value <= 0:  # bool is not int here
+            raise ValueError(f"{what}: {key} must be a positive integer, got {value!r}")
+    return tuple(doc[key] for key in keys)
+
+
+def read_payload(source: str | os.PathLike | BinaryIO, dtype, count: int,
+                 what: str) -> np.ndarray:
+    """Exactly `count` samples of `dtype` from a path, or from an open binary
+    file at its current position; any other byte length raises ValueError."""
+    itemsize = np.dtype(dtype).itemsize
+    if isinstance(source, (str, os.PathLike)):
+        size = os.path.getsize(source)
+    else:
+        size = os.fstat(source.fileno()).st_size - source.tell()
+    n, stray = divmod(size, itemsize)
+    if (n, stray) != (count, 0):
+        extra = f" and {stray} stray bytes" if stray else ""
+        raise ValueError(f"{what}: payload has {n} samples{extra}, expected {count}")
+    return np.fromfile(source, dtype=dtype, count=count)
 
 
 @dataclass(frozen=True)
@@ -79,7 +118,7 @@ class BandStack:
     def __post_init__(self):
         if not self.bands:
             raise ValueError("stack has no bands")
-        if self.extent_m <= 0:
+        if not self.extent_m > 0:  # also rejects NaN
             raise ValueError("extent_m must be positive")
         ids = [b.spec.id for b in self.bands]
         if len(set(ids)) != len(ids):
@@ -137,31 +176,23 @@ class LabelMask:
 def load_stack(manifest_path: str | os.PathLike) -> BandStack:
     """Read a stack manifest and its band payloads."""
     manifest_path = os.fspath(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"malformed manifest {manifest_path}: {e}") from e
-    try:
-        extent_m = float(doc["extent_m"])
-        entries = doc["bands"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed manifest {manifest_path}: missing {e}") from e
+    doc = read_json_object(manifest_path, "manifest")
     base = os.path.dirname(manifest_path)
     bands = []
-    for ent in entries:
-        spec = BandSpec(ent["id"], float(ent["wavelength_nm"]), float(ent["native_gsd_m"]))
-        rows, cols = int(ent["rows"]), int(ent["cols"])
-        if ent.get("dtype", "u16le") != "u16le":
-            raise ValueError(f"band {spec.id}: unsupported dtype {ent['dtype']!r}")
-        payload_path = os.path.join(base, ent["file"])
-        data = np.fromfile(payload_path, dtype="<u2")
-        if data.size != rows * cols:
-            raise ValueError(
-                f"band {spec.id}: payload {payload_path} has {data.size} samples, "
-                f"expected {rows * cols}"
-            )
-        bands.append(Band(spec, data.reshape(rows, cols)))
+    try:
+        extent_m = float(doc["extent_m"])
+        for ent in doc["bands"]:
+            spec = BandSpec(ent["id"], float(ent["wavelength_nm"]), float(ent["native_gsd_m"]))
+            rows, cols = read_dims(ent, f"band {spec.id}", "rows", "cols")
+            if ent.get("dtype", "u16le") != "u16le":
+                raise ValueError(f"band {spec.id}: unsupported dtype {ent['dtype']!r}")
+            payload_path = os.path.join(base, ent["file"])
+            data = read_payload(payload_path, "<u2", rows * cols,
+                                f"band {spec.id} ({payload_path})")
+            bands.append(Band(spec, data.reshape(rows, cols)))
+    except (KeyError, TypeError, OverflowError) as e:
+        detail = f"missing {e}" if isinstance(e, KeyError) else e
+        raise ValueError(f"malformed manifest {manifest_path}: {detail}") from None
     return BandStack(tuple(bands), extent_m)
 
 
@@ -188,14 +219,6 @@ def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
     atomic_write_bytes(manifest_path, json.dumps(doc, indent=2).encode())
 
 
-def standard_stack(bands: dict[str, np.ndarray], extent_m: float) -> BandStack:
-    """Build a stack from {band id: pixel grid} using Table-I metadata."""
-    return BandStack(
-        tuple(Band(canonical_spec(bid), px) for bid, px in bands.items()),
-        extent_m,
-    )
-
-
 # ---------------------------------------------------------------------------
 # PGM
 
@@ -205,28 +228,32 @@ def _read_pgm(path: str | os.PathLike) -> np.ndarray:
     if not raw.startswith(b"P5"):
         magic = raw[:2].decode("ascii", "replace")
         raise ValueError(f"unsupported PGM variant {magic!r} (binary P5 required)")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # '#' comments allowed
+    # header: magic, width, height, maxval as whitespace-separated positive
+    # decimal integers; '#' comments run to the end of the line or the file
     tokens, pos = [], 2
     while len(tokens) < 3:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
         if raw[pos:pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            pos = raw.find(b"\n", pos) + 1 or len(raw)
             continue
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        tokens.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token.isdigit() or int(token) == 0:
+            raise ValueError(f"bad PGM header: expected a positive integer, got {token!r}")
+        tokens.append(int(token))
     pos += 1  # single whitespace after maxval
     cols, rows, maxval = tokens
     if maxval not in (255, 65535):
         raise ValueError(f"PGM maxval {maxval} not supported (255 or 65535)")
-    dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
-    payload = np.frombuffer(raw, dtype=dtype, count=-1, offset=pos)
-    if payload.size < rows * cols:
-        raise ValueError(f"truncated PGM payload: {payload.size} < {rows * cols}")
-    return payload[: rows * cols].astype(np.uint16).reshape(rows, cols)
+    dtype = np.dtype(np.uint8 if maxval == 255 else ">u2")
+    have = max(len(raw) - pos, 0) // dtype.itemsize
+    if have < rows * cols:  # trailing bytes after the payload are ignored
+        raise ValueError(f"truncated PGM payload: {have} < {rows * cols}")
+    payload = np.frombuffer(raw, dtype=dtype, count=rows * cols, offset=pos)
+    return payload.astype(np.uint16).reshape(rows, cols)
 
 
 def import_pgm_band(path: str | os.PathLike, spec: BandSpec) -> Band:
@@ -262,11 +289,8 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def read_float_raster(path: str | os.PathLike) -> np.ndarray:
-    with open(os.fspath(path) + ".json", "r", encoding="utf-8") as f:
-        meta = json.load(f)
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    data = np.fromfile(path, dtype="<f4")
-    if data.size != rows * cols:
-        raise ValueError(f"float raster payload has {data.size} samples, "
-                         f"expected {rows * cols}")
+    sidecar = os.fspath(path) + ".json"
+    rows, cols = read_dims(read_json_object(sidecar, "float raster sidecar"),
+                           f"float raster sidecar {sidecar}", "rows", "cols")
+    data = read_payload(path, "<f4", rows * cols, "float raster")
     return data.reshape(rows, cols).astype(np.float64)

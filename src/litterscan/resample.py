@@ -10,28 +10,28 @@ concentric):
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .raster_io import Band, BandStack, atomic_write_bytes
+from .raster_io import (Band, BandStack, atomic_write_bytes, read_dims, read_json_object,
+                        read_payload)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
 
 
-def lanczos3_kernel(x: float) -> float:
-    """sinc(x) * sinc(x/3) for |x| < 3, else 0."""
-    if not math.isfinite(x):
+def lanczos3_kernel(x: float | np.ndarray) -> float | np.ndarray:
+    """sinc(x) * sinc(x/3) for |x| < 3, else 0; elementwise over an array,
+    a float for a float."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
         raise ValueError("kernel argument must be finite")
-    ax = abs(x)
-    if ax >= 3.0:
-        return 0.0
-    if ax == 0.0:
-        return 1.0
-    px = math.pi * x
-    return 3.0 * math.sin(px) * math.sin(px / 3.0) / (px * px)
+    px = np.pi * x
+    with np.errstate(divide="ignore", invalid="ignore"):  # x == 0 is set below
+        w = 3.0 * np.sin(px) * np.sin(px / 3.0) / (px * px)
+    w = np.where(np.abs(x) >= 3.0, 0.0, np.where(x == 0.0, 1.0, w))
+    return float(w) if w.ndim == 0 else w
 
 
 def _axis_taps(n_src: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +44,7 @@ def _axis_taps(n_src: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.arange(-2, 4, dtype=np.int64)  # 6 taps covering |x| < 3
     idx = base[:, None] + offsets[None, :]
     x = src[:, None] - idx
-    w = np.vectorize(lanczos3_kernel)(x)
+    w = lanczos3_kernel(x)
     w /= w.sum(axis=1, keepdims=True)
     return np.clip(idx, 0, n_src - 1), w
 
@@ -62,9 +62,9 @@ def resample_band(band: Band | np.ndarray, scale: int) -> np.ndarray:
     if scale not in SUPPORTED_SCALES:
         raise ValueError(f"unsupported scale {scale} (expected one of {SUPPORTED_SCALES})")
     img = band.pixels if isinstance(band, Band) else np.asarray(band)
-    img = img.astype(np.float64)
+    img = img.astype(np.float64)  # always a copy
     if scale == 1:
-        return img.copy()
+        return img
     out = _resample_axis0(img, scale)
     return _resample_axis0(out.T, scale).T
 
@@ -139,13 +139,16 @@ def save_cube(cube: AlignedCube, manifest_path: str | os.PathLike) -> None:
 
 def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
     manifest_path = os.fspath(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    ids = tuple(doc["bands"])
-    data = np.fromfile(os.path.join(os.path.dirname(manifest_path), doc["file"]),
-                       dtype="<f4")
-    n = rows * cols * len(ids)
-    if data.size != n:
-        raise ValueError(f"cube payload has {data.size} samples, expected {n}")
-    return AlignedCube(ids, data.astype(np.float64).reshape(rows, cols, len(ids)))
+    what = f"cube manifest {manifest_path}"
+    doc = read_json_object(manifest_path, "cube manifest")
+    rows, cols = read_dims(doc, what, "rows", "cols")
+    ids, fname = doc.get("bands"), doc.get("file")
+    if not (isinstance(ids, list) and all(isinstance(b, str) for b in ids)):
+        raise ValueError(f"{what}: bands must be a list of band ids")
+    if doc.get("dtype") != "f32le":
+        raise ValueError(f"{what}: unsupported dtype {doc.get('dtype')!r} (f32le required)")
+    if not isinstance(fname, str):
+        raise ValueError(f"{what}: file must be a payload file name, got {fname!r}")
+    data = read_payload(os.path.join(os.path.dirname(manifest_path), fname), "<f4",
+                        rows * cols * len(ids), "cube")
+    return AlignedCube(tuple(ids), data.astype(np.float64).reshape(rows, cols, len(ids)))

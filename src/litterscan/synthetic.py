@@ -39,9 +39,7 @@ def plastic_mask(rows: int, cols: int, plastic_frac: float) -> LabelMask:
     r0 = (rows - h) // 2
     c0 = (cols - w) // 2
     labels = np.zeros((rows, cols), dtype=np.uint8)
-    flat = [(r0 + i // w, c0 + i % w) for i in range(k)]
-    rr, cc = zip(*flat)
-    labels[list(rr), list(cc)] = 1
+    labels[r0:r0 + h, c0:c0 + w].flat[:k] = 1  # first k pixels, row-major
     return LabelMask(labels)
 
 
@@ -51,11 +49,9 @@ def make_scene(rows: int = 100, cols: int = 100, plastic_frac: float = 0.15,
     mask = plastic_mask(rows, cols, plastic_frac)
     mean_bg, mean_pl = class_means()
     rng = SplitMix64(seed)
-    values = np.empty((rows, cols, 13), dtype=np.float64)
-    lb = mask.labels
-    for r in range(rows):
-        for c in range(cols):
-            mu = mean_pl if lb[r, c] else mean_bg
-            for b in range(13):
-                values[r, c, b] = mu[b] + SIGMA * rng.normal()
+    # draws in row, column, band order
+    n = rows * cols * 13
+    values = np.fromiter((rng.normal() for _ in range(n)), np.float64, n).reshape(rows, cols, 13)
+    values *= SIGMA
+    values += np.where(mask.labels[:, :, None] == 1, mean_pl, mean_bg)
     return AlignedCube(CANONICAL_ORDER, values), mask

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_band
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import read_float_raster, read_mask
+from litterscan.raster_io import BandStack, read_float_raster, read_mask, save_stack
 from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
 
@@ -198,3 +199,71 @@ def test_predict_rejects_nan_threshold(tmp_path, scene, model_path, capsys):
                "--out", str(pred), "--threshold", "nan") == 1
     assert capsys.readouterr().err == "litterscan predict: threshold must be finite\n"
     assert not pred.exists()
+
+
+def assert_one_line_failure(capsys, cmd, out, mentions=""):
+    err = capsys.readouterr().err
+    assert err.startswith(f"litterscan {cmd}: ")
+    assert err.count("\n") == 1
+    assert mentions in err
+    assert not out.exists()
+
+
+MALFORMED_CUBES = {
+    "bands_number": lambda doc: {**doc, "bands": 5},
+    "not_an_object": lambda doc: [doc],
+    "deeply_nested": lambda doc: "[" * 100_000,
+    "negative_dims": lambda doc: {**doc, "rows": -doc["rows"], "cols": -doc["cols"]},
+    "dtype_f64le": lambda doc: {**doc, "dtype": "f64le"},
+    "rows_string": lambda doc: {**doc, "rows": str(doc["rows"])},
+    "rows_float": lambda doc: {**doc, "rows": float(doc["rows"])},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CUBES))
+def test_index_rejects_malformed_cube(tmp_path, scene, capsys, case):
+    cube_path, _ = scene
+    doc = MALFORMED_CUBES[case](json.loads(cube_path.read_text()))
+    cube_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "ndvi.f32"
+    assert run("index", "--cube", str(cube_path), "--method", "ndvi",
+               "--out", str(out)) == 1
+    assert_one_line_failure(capsys, "index", out, mentions="cube manifest")
+
+
+MALFORMED_STACKS = {
+    "band_rows_null": lambda doc: {**doc, "bands": [{**doc["bands"][0], "rows": None}]},
+    "bands_number": lambda doc: {**doc, "bands": 5},
+    "band_not_an_object": lambda doc: {**doc, "bands": [["B8"]]},
+    "extent_nan": lambda doc: {**doc, "extent_m": float("nan")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STACKS))
+def test_resample_rejects_malformed_stack(tmp_path, capsys, case):
+    manifest = tmp_path / "stack.json"
+    save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), manifest)
+    doc = MALFORMED_STACKS[case](json.loads(manifest.read_text()))
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "cube.json"
+    assert run("resample", "--manifest", str(manifest), "--out", str(out)) == 1
+    assert_one_line_failure(capsys, "resample", out)
+
+
+MALFORMED_PGMS = {
+    "magic_only": b"P5\n",
+    "comment_without_newline": b"P5\n# no newline",
+    "negative_width": b"P5\n-1 1\n255\n\x00",
+    "header_without_payload": b"P5\n2 2\n255",
+    "odd_length_16bit": b"P5\n1 1\n65535\n\x00",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PGMS))
+def test_import_rejects_malformed_pgm(tmp_path, capsys, case):
+    pgm = tmp_path / "b8.pgm"
+    pgm.write_bytes(MALFORMED_PGMS[case])
+    out = tmp_path / "stack.json"
+    assert run("import", "--band", f"B8={pgm}", "--extent-m", "10",
+               "--out", str(out)) == 1
+    assert_one_line_failure(capsys, "import", out, mentions="PGM")

@@ -188,6 +188,22 @@ def test_sample_container_bytes_match_per_record_layout(tmp_path):
     assert path.read_bytes() == header + bytes(body)
 
 
+def test_load_samples_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "s.lset"
+    save_samples(sample_set([0, 1, 1], seed=3), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="payload has 2 samples and 52 stray bytes, expected 3"):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("header", [b"LSET1 -1 13 a,b\n", b"LSET1 0 12 a,b\n", b"LSET1 1.5 13 a,b\n"])
+def test_load_samples_rejects_bad_header(tmp_path, header):
+    path = tmp_path / "s.lset"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match="bad sample container header"):
+        load_samples(path)
+
+
 # --- frozen reference outputs for seeds 0 and 1 ---
 
 def _reference():

@@ -212,6 +212,14 @@ def test_float_raster_random_round_trip(tmp_path):
     assert np.array_equal(read_float_raster(path), grid)
 
 
+def test_float_raster_sidecar_must_be_object(tmp_path):
+    path = tmp_path / "r.f32"
+    write_float_raster(np.zeros((2, 2)), path)
+    (tmp_path / "r.f32.json").write_text("[2, 2]")
+    with pytest.raises(ValueError, match="malformed float raster sidecar .*not a JSON object"):
+        read_float_raster(path)
+
+
 def test_band_rejects_out_of_range_pixels():
     with pytest.raises(ValueError):
         Band(canonical_spec("B2"), np.array([[70000]], dtype=np.int64))
