@@ -63,3 +63,12 @@ def canonical_index(band_id: str) -> int:
         return CANONICAL_ORDER.index(band_id)
     except ValueError:
         raise ValueError(f"unknown band id {band_id!r}") from None
+
+
+def check_band_ids(ids: list[str], what: str) -> None:
+    """Raise ValueError unless every id is a known band id, each at most once."""
+    for i, band_id in enumerate(ids):
+        if band_id not in SENTINEL2_BANDS:
+            raise ValueError(f"{what}: unknown band id {band_id!r}")
+        if band_id in ids[:i]:
+            raise ValueError(f"{what}: duplicate band id {band_id!r}")

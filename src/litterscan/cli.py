@@ -115,15 +115,25 @@ def _cmd_resample(args) -> None:
 
 
 def _cmd_index(args) -> None:
-    cube = resample.load_cube(args.cube)
-    if args.method == "combined":
-        if args.ndvi_max is None or args.fdi_min is None:
-            raise ValueError("combined method needs --ndvi-max and --fdi-min")
-        mask = indexes.combined_index_mask(cube, args.ndvi_max, args.fdi_min)
-        raster_io.write_mask(mask, args.out)
+    combined = args.method == "combined"
+    if combined and (args.threshold is not None or args.mask_out is not None):
+        raise ValueError("--threshold and --mask-out apply to ndvi, fdi and b8b9, not combined")
+    if not combined and (args.ndvi_max is not None or args.fdi_min is not None):
+        raise ValueError(f"--ndvi-max and --fdi-min apply to combined, not {args.method}")
+    if args.mask_out is not None and args.threshold is None:
+        raise ValueError("--mask-out needs --threshold")
+    if combined and (args.ndvi_max is None or args.fdi_min is None):
+        raise ValueError("combined method needs --ndvi-max and --fdi-min")
+    if args.threshold is not None:
+        indexes.check_threshold(args.threshold)
+    header = resample.read_cube_header(args.cube)
+    if combined:
+        labels = resample.map_cube_rows(header, lambda block: indexes.combined_index_mask(
+            block, args.ndvi_max, args.fdi_min).labels)
+        raster_io.write_mask(raster_io.LabelMask(labels), args.out)
         return
-    imap = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[
-        args.method](cube)
+    index = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[args.method]
+    imap = indexes.IndexMap(resample.map_cube_rows(header, lambda block: index(block).values))
     raster_io.write_float_raster(imap.values, args.out)
     if args.threshold is not None:
         mask_path = args.mask_out or args.out + ".mask.pgm"
@@ -165,12 +175,14 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_predict(args) -> None:
+    indexes.check_threshold(args.threshold)
     model = mlp.load_model(args.model)
-    cube = resample.load_cube(args.cube)
-    mask, omap = mlp.predict_map(model, cube, args.threshold)
-    raster_io.write_mask(mask, args.out)
+    header = resample.read_cube_header(args.cube)
+    scores = indexes.IndexMap(resample.map_cube_rows(
+        header, lambda block: mlp.predict_map(model, block, args.threshold)[1].values))
+    raster_io.write_mask(indexes.threshold_map(scores, args.threshold), args.out)
     if args.map_out:
-        raster_io.write_float_raster(omap.values, args.map_out)
+        raster_io.write_float_raster(scores.values, args.map_out)
 
 
 def _cmd_eval(args) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import check_band_ids
 from .raster_io import LabelMask, atomic_write_bytes, read_payload
 from .resample import AlignedCube
 from .rng import SplitMix64
@@ -192,9 +193,11 @@ def load_samples(path: str | os.PathLike) -> SampleSet:
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", "replace")
         parts = header.split()
+        ids = parts[3].split(",") if len(parts) == 4 else []
         if (len(parts) != 4 or parts[0] != "LSET1" or not parts[1].isdecimal()
-                or parts[2] != str(N_FEATURES)):
+                or parts[2] != str(N_FEATURES) or len(ids) != N_FEATURES):
             raise ValueError(f"bad sample container header: {header!r} "
                              f"(expected 'LSET1 <count> {N_FEATURES} <id,...>')")
+        check_band_ids(ids, "sample container")
         data = read_payload(f, LSET1_RECORD, int(parts[1]), "sample container")
-    return SampleSet(data["f"].astype(np.float64), data["y"], tuple(parts[3].split(",")))
+    return SampleSet(data["f"].astype(np.float64), data["y"], tuple(ids))

@@ -76,10 +76,14 @@ def fdi(cube: AlignedCube) -> IndexMap:
     return IndexMap(b8 - baseline)
 
 
-def threshold_map(index_map: IndexMap, t: float) -> LabelMask:
-    """1 where value >= t."""
+def check_threshold(t: float) -> None:
     if not np.isfinite(t):
         raise ValueError("threshold must be finite")
+
+
+def threshold_map(index_map: IndexMap, t: float) -> LabelMask:
+    """1 where value >= t."""
+    check_threshold(t)
     return LabelMask((index_map.values >= t).astype(np.uint8))
 
 

@@ -309,9 +309,18 @@ def save_model(model: MlpModel, path: str | os.PathLike) -> None:
 
 
 def _numbers(value, what: str) -> np.ndarray:
+    """A nested list of JSON numbers as an array; strings and bools are not
+    numbers."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif type(item) not in (int, float):
+            raise ValueError(f"model {what} must be an array of numbers")
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):  # ragged nesting, an integer beyond float range
         raise ValueError(f"model {what} must be an array of numbers") from None
 
 

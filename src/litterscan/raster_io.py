@@ -62,10 +62,10 @@ def read_dims(doc: dict, what: str, *keys: str) -> tuple[int, ...]:
     return tuple(doc[key] for key in keys)
 
 
-def read_payload(source: str | os.PathLike | BinaryIO, dtype, count: int,
-                 what: str) -> np.ndarray:
-    """Exactly `count` samples of `dtype` from a path, or from an open binary
-    file at its current position; any other byte length raises ValueError."""
+def check_payload_size(source: str | os.PathLike | BinaryIO, dtype, count: int,
+                       what: str) -> None:
+    """Raise ValueError unless a path, or an open binary file from its
+    current position, holds exactly `count` samples of `dtype`."""
     itemsize = np.dtype(dtype).itemsize
     if isinstance(source, (str, os.PathLike)):
         size = os.path.getsize(source)
@@ -75,7 +75,22 @@ def read_payload(source: str | os.PathLike | BinaryIO, dtype, count: int,
     if (n, stray) != (count, 0):
         extra = f" and {stray} stray bytes" if stray else ""
         raise ValueError(f"{what}: payload has {n} samples{extra}, expected {count}")
+
+
+def read_payload(source: str | os.PathLike | BinaryIO, dtype, count: int,
+                 what: str) -> np.ndarray:
+    """Exactly `count` samples of `dtype` from a path, or from an open binary
+    file at its current position; any other byte length raises ValueError."""
+    check_payload_size(source, dtype, count, what)
     return np.fromfile(source, dtype=dtype, count=count)
+
+
+def read_number(doc: dict, what: str, key: str) -> float:
+    """doc[key], which must be a JSON number: a string or a bool is not one."""
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{what}: {key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -180,15 +195,16 @@ def load_stack(manifest_path: str | os.PathLike) -> BandStack:
     base = os.path.dirname(manifest_path)
     bands = []
     try:
-        extent_m = float(doc["extent_m"])
+        extent_m = read_number(doc, f"malformed manifest {manifest_path}", "extent_m")
         for ent in doc["bands"]:
-            spec = BandSpec(ent["id"], float(ent["wavelength_nm"]), float(ent["native_gsd_m"]))
-            rows, cols = read_dims(ent, f"band {spec.id}", "rows", "cols")
+            what = f"band {ent['id']}"
+            spec = BandSpec(ent["id"], read_number(ent, what, "wavelength_nm"),
+                            read_number(ent, what, "native_gsd_m"))
+            rows, cols = read_dims(ent, what, "rows", "cols")
             if ent.get("dtype", "u16le") != "u16le":
-                raise ValueError(f"band {spec.id}: unsupported dtype {ent['dtype']!r}")
+                raise ValueError(f"{what}: unsupported dtype {ent['dtype']!r}")
             payload_path = os.path.join(base, ent["file"])
-            data = read_payload(payload_path, "<u2", rows * cols,
-                                f"band {spec.id} ({payload_path})")
+            data = read_payload(payload_path, "<u2", rows * cols, f"{what} ({payload_path})")
             bands.append(Band(spec, data.reshape(rows, cols)))
     except (KeyError, TypeError, OverflowError) as e:
         detail = f"missing {e}" if isinstance(e, KeyError) else e

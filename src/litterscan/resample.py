@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .raster_io import (Band, BandStack, atomic_write_bytes, read_dims, read_json_object,
-                        read_payload)
+from .bands import check_band_ids
+from .raster_io import (Band, BandStack, atomic_write_bytes, check_payload_size, read_dims,
+                        read_json_object)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
 
@@ -137,7 +139,22 @@ def save_cube(cube: AlignedCube, manifest_path: str | os.PathLike) -> None:
     atomic_write_bytes(manifest_path, json.dumps(doc, indent=2).encode())
 
 
-def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
+# Pixels per row block in `map_cube_rows` (one row when a row is wider): the
+# most of a cube that it holds in float64 at once.
+ROW_BLOCK_PIXELS = 1 << 16
+
+
+@dataclass(frozen=True)
+class CubeHeader:
+    """A validated cube manifest whose payload has exactly the declared size."""
+
+    rows: int
+    cols: int
+    band_ids: tuple[str, ...]
+    payload: str  # path of the f32le payload
+
+
+def read_cube_header(manifest_path: str | os.PathLike) -> CubeHeader:
     manifest_path = os.fspath(manifest_path)
     what = f"cube manifest {manifest_path}"
     doc = read_json_object(manifest_path, "cube manifest")
@@ -145,10 +162,42 @@ def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
     ids, fname = doc.get("bands"), doc.get("file")
     if not (isinstance(ids, list) and all(isinstance(b, str) for b in ids)):
         raise ValueError(f"{what}: bands must be a list of band ids")
+    check_band_ids(ids, what)
     if doc.get("dtype") != "f32le":
         raise ValueError(f"{what}: unsupported dtype {doc.get('dtype')!r} (f32le required)")
     if not isinstance(fname, str):
         raise ValueError(f"{what}: file must be a payload file name, got {fname!r}")
-    data = read_payload(os.path.join(os.path.dirname(manifest_path), fname), "<f4",
-                        rows * cols * len(ids), "cube")
-    return AlignedCube(tuple(ids), data.astype(np.float64).reshape(rows, cols, len(ids)))
+    payload = os.path.join(os.path.dirname(manifest_path), fname)
+    check_payload_size(payload, "<f4", rows * cols * len(ids), "cube")
+    return CubeHeader(rows, cols, tuple(ids), payload)
+
+
+def _read_rows(f: BinaryIO, header: CubeHeader, n_rows: int) -> AlignedCube:
+    """The next `n_rows` rows of the open payload `f`, widened to float64."""
+    n_bands = len(header.band_ids)
+    data = np.fromfile(f, dtype="<f4", count=n_rows * header.cols * n_bands)
+    return AlignedCube(header.band_ids,
+                       data.astype(np.float64).reshape(n_rows, header.cols, n_bands))
+
+
+def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
+    header = read_cube_header(manifest_path)
+    with open(header.payload, "rb") as f:
+        return _read_rows(f, header, header.rows)
+
+
+def map_cube_rows(header: CubeHeader,
+                  fn: Callable[[AlignedCube], np.ndarray]) -> np.ndarray:
+    """fn applied to each row block of the cube, assembled into one
+    (rows, cols) array; fn maps a (n, cols) block to an (n, cols) result.
+    Only one block of the cube is in memory at a time."""
+    block_rows = max(1, ROW_BLOCK_PIXELS // header.cols)
+    out = None
+    with open(header.payload, "rb") as f:
+        for r0 in range(0, header.rows, block_rows):
+            n = min(block_rows, header.rows - r0)
+            result = fn(_read_rows(f, header, n))
+            if out is None:
+                out = np.empty((header.rows, header.cols), dtype=result.dtype)
+            out[r0:r0 + n] = result
+    return out

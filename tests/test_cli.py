@@ -175,6 +175,10 @@ MALFORMED_MODELS = {
     "activations_relu": lambda doc: {**doc, "activations": ["relu", "logistic"]},
     "weights_object": lambda doc: {**doc, "weights_output": {"w": 1}},
     "band_order_number": lambda doc: {**doc, "band_order": 13},
+    "weights_strings": lambda doc: {**doc, "weights_output": [str(w) for w in
+                                                              doc["weights_output"]]},
+    "normalizer_bools": lambda doc: {**doc, "normalizer": {**doc["normalizer"],
+                                                           "min": [False] * 13}},
 }
 
 
@@ -217,6 +221,8 @@ MALFORMED_CUBES = {
     "dtype_f64le": lambda doc: {**doc, "dtype": "f64le"},
     "rows_string": lambda doc: {**doc, "rows": str(doc["rows"])},
     "rows_float": lambda doc: {**doc, "rows": float(doc["rows"])},
+    "bands_duplicate": lambda doc: {**doc, "bands": ["B4", *doc["bands"][1:]]},
+    "bands_unknown": lambda doc: {**doc, "bands": ["X1", *doc["bands"][1:]]},
 }
 
 
@@ -231,11 +237,37 @@ def test_index_rejects_malformed_cube(tmp_path, scene, capsys, case):
     assert_one_line_failure(capsys, "index", out, mentions="cube manifest")
 
 
+INDEX_BAD_FLAGS = {
+    "combined_threshold": ["--method", "combined", "--ndvi-max", "0.5", "--fdi-min", "100",
+                           "--threshold", "0.5"],
+    "combined_mask_out": ["--method", "combined", "--ndvi-max", "0.5", "--fdi-min", "100",
+                          "--mask-out", "m.pgm"],
+    "mask_out_without_threshold": ["--method", "ndvi", "--mask-out", "m.pgm"],
+    "fdi_ndvi_max": ["--method", "fdi", "--ndvi-max", "0.5"],
+    "ndvi_fdi_min": ["--method", "ndvi", "--threshold", "0.1", "--fdi-min", "100"],
+    "threshold_nan": ["--method", "fdi", "--threshold", "nan", "--mask-out", "m.pgm"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_BAD_FLAGS))
+def test_index_rejects_bad_flags(tmp_path, scene, capsys, case):
+    cube_path, _ = scene
+    out, mask = tmp_path / "out.f32", tmp_path / "m.pgm"
+    flags = [str(mask) if flag == "m.pgm" else flag for flag in INDEX_BAD_FLAGS[case]]
+    assert run("index", "--cube", str(cube_path), "--out", str(out), *flags) == 1
+    assert_one_line_failure(capsys, "index", out)
+    assert not mask.exists()
+
+
 MALFORMED_STACKS = {
     "band_rows_null": lambda doc: {**doc, "bands": [{**doc["bands"][0], "rows": None}]},
     "bands_number": lambda doc: {**doc, "bands": 5},
     "band_not_an_object": lambda doc: {**doc, "bands": [["B8"]]},
     "extent_nan": lambda doc: {**doc, "extent_m": float("nan")},
+    "extent_string": lambda doc: {**doc, "extent_m": "40"},
+    "wavelength_bool": lambda doc: {**doc, "bands": [{**doc["bands"][0],
+                                                      "wavelength_nm": True}]},
+    "gsd_string": lambda doc: {**doc, "bands": [{**doc["bands"][0], "native_gsd_m": "10"}]},
 }
 
 

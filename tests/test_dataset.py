@@ -204,6 +204,15 @@ def test_load_samples_rejects_bad_header(tmp_path, header):
         load_samples(path)
 
 
+@pytest.mark.parametrize("ids", [("B4", *CANONICAL_ORDER[1:]), ("X1", *CANONICAL_ORDER[1:]),
+                                 CANONICAL_ORDER[:12]])
+def test_load_samples_requires_13_distinct_band_ids(tmp_path, ids):
+    path = tmp_path / "s.lset"
+    path.write_bytes(f"LSET1 0 13 {','.join(ids)}\n".encode("ascii"))
+    with pytest.raises(ValueError, match="band id|bad sample container header"):
+        load_samples(path)
+
+
 # --- frozen reference outputs for seeds 0 and 1 ---
 
 def _reference():

@@ -1,0 +1,124 @@
+"""`predict` and `index` read the cube in row blocks: the artifacts do not
+depend on the block size, a bad value in the last block leaves no output,
+and memory stays below the size of the cube's payload."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from litterscan import resample
+from litterscan.bands import CANONICAL_ORDER
+from litterscan.cli import main
+from litterscan.dataset import Normalizer
+from litterscan.mlp import init_model, save_model
+
+ROWS, COLS = 23, 17  # 391 px
+
+
+def write_cube(directory, rows, cols, seed=0):
+    """Seeded cube of f32 digital numbers in [100, 3100), written without
+    going through float64."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((rows, cols, len(CANONICAL_ORDER)), dtype=np.float32)
+    values *= 3000.0
+    values += 100.0
+    values.astype("<f4").tofile(directory / "cube.f32")
+    manifest = directory / "cube.json"
+    manifest.write_text(json.dumps({"rows": rows, "cols": cols, "bands": list(CANONICAL_ORDER),
+                                    "dtype": "f32le", "file": "cube.f32"}))
+    return manifest
+
+
+def write_model(directory):
+    path = directory / "model.json"
+    norm = Normalizer(np.full(13, 100.0), np.full(13, 3100.0))
+    save_model(init_model(3, norm, CANONICAL_ORDER), path)
+    return path
+
+
+def commands(cube, model, out):
+    """Every streamed subcommand, with all of its outputs under `out`."""
+    index = ["index", "--cube", str(cube)]
+    return [
+        ["predict", "--model", str(model), "--cube", str(cube), "--out", str(out / "pred.pgm"),
+         "--map-out", str(out / "scores.f32")],
+        *[[*index, "--method", method, "--out", str(out / f"{method}.f32"),
+           "--threshold", str(t), "--mask-out", str(out / f"{method}.pgm")]
+          for method, t in (("ndvi", 0.0), ("fdi", 0.0), ("b8b9", 0.0))],
+        [*index, "--method", "combined", "--ndvi-max", "0.1", "--fdi-min", "0",
+         "--out", str(out / "combined.pgm")],
+    ]
+
+
+def artifacts(cube, model, out):
+    out.mkdir()
+    for argv in commands(cube, model, out):
+        assert main(argv) == 0, argv
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("block_pixels", [
+    5 * COLS,  # 5 rows per block, a ragged last block of 3
+    COLS,      # single-row blocks
+    1,         # a row wider than a block: still one row per block
+])
+def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixels):
+    cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
+    whole = artifacts(cube, model, tmp_path / "whole")
+    assert len(whole) == 13  # 5 rasters with sidecars, 3 masks
+    blocks = []
+    read_rows = resample._read_rows
+
+    def recording_read_rows(f, header, n_rows):
+        blocks.append(n_rows)
+        return read_rows(f, header, n_rows)
+
+    monkeypatch.setattr(resample, "_read_rows", recording_read_rows)
+    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", block_pixels)
+    assert artifacts(cube, model, tmp_path / "blocked") == whole
+    per_block = max(1, block_pixels // COLS)
+    full, ragged = divmod(ROWS, per_block)
+    per_command = [per_block] * full + ([ragged] if ragged else [])
+    assert blocks == per_command * len(commands(cube, model, tmp_path))
+
+
+def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, capsys):
+    cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
+    payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4")
+    payload[-1] = np.nan
+    payload.tofile(tmp_path / "cube.f32")
+    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", COLS)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in commands(cube, model, out):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"litterscan {argv[0]}: cube values must be finite\n"
+    assert list(out.iterdir()) == []
+
+
+def test_streamed_steps_use_less_memory_than_the_cube_payload(tmp_path):
+    rows = cols = 1000
+    cube, model = write_cube(tmp_path, rows, cols), write_model(tmp_path)
+    payload_bytes = rows * cols * len(CANONICAL_ORDER) * 4
+    steps = {
+        "predict": ["predict", "--model", str(model), "--cube", str(cube),
+                    "--out", str(tmp_path / "pred.pgm"), "--map-out", str(tmp_path / "s.f32")],
+        "index fdi": ["index", "--cube", str(cube), "--method", "fdi",
+                      "--out", str(tmp_path / "fdi.f32"), "--threshold", "0",
+                      "--mask-out", str(tmp_path / "fdi.pgm")],
+        "index combined": ["index", "--cube", str(cube), "--method", "combined",
+                           "--ndvi-max", "0.1", "--fdi-min", "0",
+                           "--out", str(tmp_path / "combined.pgm")],
+    }
+    peaks = {}
+    for name, argv in steps.items():
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < payload_bytes for peak in peaks.values()), (
+        {name: f"{peak / payload_bytes:.2f}x payload" for name, peak in peaks.items()})
