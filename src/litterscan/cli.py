@@ -158,7 +158,7 @@ def _cmd_train(args) -> None:
     model = mlp.init_model(args.seed, norm, cube.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
-    test_pred = (mlp.forward_batch(model, test_set.features) >= 0.5).astype(int)
+    test_pred = mlp.forward_batch(model, test_set.features) >= 0.5
     cm = evaluation.confusion(test_pred, test_set.labels)
     test_metrics = evaluation.metrics(cm)
     log.info("test error rate: %.3f%%", 100.0 * test_metrics["error_rate"])
@@ -179,7 +179,7 @@ def _cmd_predict(args) -> None:
     model = mlp.load_model(args.model)
     header = resample.read_cube_header(args.cube)
     scores = indexes.IndexMap(resample.map_cube_rows(
-        header, lambda block: mlp.predict_map(model, block, args.threshold)[1].values))
+        header, lambda block: mlp.predict_map(model, block).values))
     raster_io.write_mask(indexes.threshold_map(scores, args.threshold), args.out)
     if args.map_out:
         raster_io.write_float_raster(scores.values, args.map_out)

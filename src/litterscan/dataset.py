@@ -3,26 +3,19 @@ min-max input normalization.
 
 All randomness flows through the SplitMix64 generator so a given seed
 reproduces the exact same splits and subsets.
-
-SampleSet container format (binary): one ASCII header line
-``LSET1 <count> <n_features> <id,id,...>\\n`` followed by ``count`` records
-of 13 little-endian 32-bit floats plus one label byte.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import check_band_ids
-from .raster_io import LabelMask, atomic_write_bytes, read_payload
+from .raster_io import LabelMask, check_labels
 from .resample import AlignedCube
 from .rng import SplitMix64
 
 N_FEATURES = 13
-LSET1_RECORD = np.dtype([("f", "<f4", (N_FEATURES,)), ("y", "u1")])
 MIN_SAMPLES_PER_WEIGHT = 15
 
 
@@ -34,13 +27,13 @@ class SampleSet:
 
     def __post_init__(self):
         f = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        lb = np.ascontiguousarray(np.asarray(self.labels, dtype=np.uint8))
+        lb = np.asarray(self.labels)
         if f.ndim != 2 or f.shape[1] != N_FEATURES:
             raise ValueError(f"features must be (n, {N_FEATURES})")
         if lb.shape != (f.shape[0],):
             raise ValueError("labels length must match features")
-        if not np.isin(lb, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
+        check_labels(lb)
+        lb = np.ascontiguousarray(lb, dtype=np.uint8)
         if not np.isfinite(f).all():
             raise ValueError("features must be finite")
         if len(self.band_order) != N_FEATURES:
@@ -175,29 +168,3 @@ def dataset_report(samples: SampleSet) -> dict:
         "samples_per_weight_ok": spw > MIN_SAMPLES_PER_WEIGHT,
     }
 
-
-# ---------------------------------------------------------------------------
-# container
-
-def save_samples(samples: SampleSet, path: str | os.PathLike) -> None:
-    header = "LSET1 {} {} {}\n".format(
-        len(samples), N_FEATURES, ",".join(samples.band_order)
-    ).encode("ascii")
-    records = np.empty(len(samples), dtype=LSET1_RECORD)
-    records["f"] = samples.features
-    records["y"] = samples.labels
-    atomic_write_bytes(path, header + records.tobytes())
-
-
-def load_samples(path: str | os.PathLike) -> SampleSet:
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii", "replace")
-        parts = header.split()
-        ids = parts[3].split(",") if len(parts) == 4 else []
-        if (len(parts) != 4 or parts[0] != "LSET1" or not parts[1].isdecimal()
-                or parts[2] != str(N_FEATURES) or len(ids) != N_FEATURES):
-            raise ValueError(f"bad sample container header: {header!r} "
-                             f"(expected 'LSET1 <count> {N_FEATURES} <id,...>')")
-        check_band_ids(ids, "sample container")
-        data = read_payload(f, LSET1_RECORD, int(parts[1]), "sample container")
-    return SampleSet(data["f"].astype(np.float64), data["y"], tuple(ids))

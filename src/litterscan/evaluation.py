@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster_io import LabelMask
+from .raster_io import LabelMask, check_labels
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ def _as_labels(x) -> np.ndarray:
     if isinstance(x, LabelMask):
         return x.labels.reshape(-1)
     arr = np.asarray(x)
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return arr.reshape(-1).astype(np.uint8)
+    check_labels(arr)
+    return arr.reshape(-1)
 
 
 def confusion(predicted, truth) -> ConfusionMatrix:

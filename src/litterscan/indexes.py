@@ -84,7 +84,7 @@ def check_threshold(t: float) -> None:
 def threshold_map(index_map: IndexMap, t: float) -> LabelMask:
     """1 where value >= t."""
     check_threshold(t)
-    return LabelMask((index_map.values >= t).astype(np.uint8))
+    return LabelMask(index_map.values >= t)
 
 
 def combined_index_mask(cube: AlignedCube, ndvi_max: float, fdi_min: float) -> LabelMask:
@@ -92,5 +92,4 @@ def combined_index_mask(cube: AlignedCube, ndvi_max: float, fdi_min: float) -> L
     not vegetation."""
     if not (np.isfinite(ndvi_max) and np.isfinite(fdi_min)):
         raise ValueError("thresholds must be finite")
-    hit = (fdi(cube).values >= fdi_min) & (ndvi(cube).values <= ndvi_max)
-    return LabelMask(hit.astype(np.uint8))
+    return LabelMask((fdi(cube).values >= fdi_min) & (ndvi(cube).values <= ndvi_max))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_FEATURES, Normalizer, SampleSet, apply_normalizer
-from .indexes import IndexMap, threshold_map
-from .raster_io import LabelMask, atomic_write_bytes, read_json_object
+from .indexes import IndexMap
+from .raster_io import atomic_write_bytes, read_json_object
 from .resample import AlignedCube
 from .rng import SplitMix64
 
@@ -62,10 +62,6 @@ class MlpModel:
         object.__setattr__(self, "w_hidden", wh)
         object.__setattr__(self, "w_output", wo)
         object.__setattr__(self, "band_order", tuple(self.band_order))
-
-    @property
-    def n_params(self) -> int:
-        return N_PARAMS
 
 
 @dataclass(frozen=True)
@@ -280,16 +276,15 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
 # ---------------------------------------------------------------------------
 # inference and serialization
 
-def predict_map(model: MlpModel, cube: AlignedCube,
-                threshold: float = 0.5) -> tuple[LabelMask, IndexMap]:
-    """Per-pixel normalize + forward; mask = output >= threshold."""
+def predict_map(model: MlpModel, cube: AlignedCube) -> IndexMap:
+    """Per-pixel normalize + forward: the network's output, in (0, 1), for
+    every pixel; `indexes.threshold_map` turns it into a mask."""
     if cube.band_ids != model.band_order:
         raise ValueError(
             f"cube bands {cube.band_ids} do not match model bands {model.band_order}"
         )
     x = apply_normalizer(model.normalizer, cube.values.reshape(-1, N_FEATURES))
-    omap = IndexMap(forward_batch(model, x).reshape(cube.rows, cube.cols))
-    return threshold_map(omap, threshold), omap
+    return IndexMap(forward_batch(model, x).reshape(cube.rows, cube.cols))
 
 
 def save_model(model: MlpModel, path: str | os.PathLike) -> None:

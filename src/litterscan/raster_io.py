@@ -19,7 +19,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 
@@ -62,27 +61,20 @@ def read_dims(doc: dict, what: str, *keys: str) -> tuple[int, ...]:
     return tuple(doc[key] for key in keys)
 
 
-def check_payload_size(source: str | os.PathLike | BinaryIO, dtype, count: int,
-                       what: str) -> None:
-    """Raise ValueError unless a path, or an open binary file from its
-    current position, holds exactly `count` samples of `dtype`."""
-    itemsize = np.dtype(dtype).itemsize
-    if isinstance(source, (str, os.PathLike)):
-        size = os.path.getsize(source)
-    else:
-        size = os.fstat(source.fileno()).st_size - source.tell()
-    n, stray = divmod(size, itemsize)
+def check_payload_size(path: str | os.PathLike, dtype, count: int, what: str) -> None:
+    """Raise ValueError unless the file at `path` holds exactly `count`
+    samples of `dtype`."""
+    n, stray = divmod(os.path.getsize(path), np.dtype(dtype).itemsize)
     if (n, stray) != (count, 0):
         extra = f" and {stray} stray bytes" if stray else ""
         raise ValueError(f"{what}: payload has {n} samples{extra}, expected {count}")
 
 
-def read_payload(source: str | os.PathLike | BinaryIO, dtype, count: int,
-                 what: str) -> np.ndarray:
-    """Exactly `count` samples of `dtype` from a path, or from an open binary
-    file at its current position; any other byte length raises ValueError."""
-    check_payload_size(source, dtype, count, what)
-    return np.fromfile(source, dtype=dtype, count=count)
+def read_payload(path: str | os.PathLike, dtype, count: int, what: str) -> np.ndarray:
+    """Exactly `count` samples of `dtype` from the file at `path`; any other
+    byte length raises ValueError."""
+    check_payload_size(path, dtype, count, what)
+    return np.fromfile(path, dtype=dtype, count=count)
 
 
 def read_number(doc: dict, what: str, key: str) -> float:
@@ -107,7 +99,7 @@ class Band:
         if px.dtype != np.uint16:
             if not np.issubdtype(px.dtype, np.integer):
                 raise ValueError("pixels must be integers")
-            if px.min() < 0 or px.max() > 0xFFFF:
+            if not np.can_cast(px.dtype, np.uint16) and (px.min() < 0 or px.max() > 0xFFFF):
                 raise ValueError("pixel values must fit in 16 bits")
             px = px.astype(np.uint16)
         px = np.ascontiguousarray(px)
@@ -159,6 +151,13 @@ class BandStack:
         return tuple(b.spec.id for b in self.bands)
 
 
+def check_labels(labels: np.ndarray) -> None:
+    """Raise ValueError unless every label is 0 or 1. A bool array passes by
+    its dtype; any other array is compared as it is, before any cast."""
+    if labels.dtype != np.bool_ and not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class LabelMask:
     """Binary raster, 1 = plastic."""
@@ -169,8 +168,7 @@ class LabelMask:
         lb = np.asarray(self.labels)
         if lb.ndim != 2 or lb.size == 0:
             raise ValueError("labels must be a non-empty 2-D grid")
-        if not np.isin(lb, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
+        check_labels(lb)
         lb = np.ascontiguousarray(lb.astype(np.uint8))
         lb.setflags(write=False)
         object.__setattr__(self, "labels", lb)
@@ -268,8 +266,7 @@ def _read_pgm(path: str | os.PathLike) -> np.ndarray:
     have = max(len(raw) - pos, 0) // dtype.itemsize
     if have < rows * cols:  # trailing bytes after the payload are ignored
         raise ValueError(f"truncated PGM payload: {have} < {rows * cols}")
-    payload = np.frombuffer(raw, dtype=dtype, count=rows * cols, offset=pos)
-    return payload.astype(np.uint16).reshape(rows, cols)
+    return np.frombuffer(raw, dtype=dtype, count=rows * cols, offset=pos).reshape(rows, cols)
 
 
 def import_pgm_band(path: str | os.PathLike, spec: BandSpec) -> Band:
@@ -278,8 +275,7 @@ def import_pgm_band(path: str | os.PathLike, spec: BandSpec) -> Band:
 
 
 def read_mask(path: str | os.PathLike) -> LabelMask:
-    px = _read_pgm(path)
-    return LabelMask((px > 0).astype(np.uint8))
+    return LabelMask(_read_pgm(path) > 0)
 
 
 def write_mask(mask: LabelMask, path: str | os.PathLike) -> None:

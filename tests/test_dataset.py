@@ -15,9 +15,7 @@ from litterscan.dataset import (
     dataset_report,
     extract_samples,
     fit_normalizer,
-    load_samples,
     normalize_set,
-    save_samples,
     split,
 )
 from litterscan.raster_io import LabelMask
@@ -125,6 +123,12 @@ def test_split_spec_validation():
         SplitSpec(0.0, 0.5, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("labels", [[256, 1, 0], [1.7, 0.2, 0.0]])
+def test_sample_set_rejects_labels_before_casting_them(labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        SampleSet(np.zeros((3, 13)), np.array(labels), CANONICAL_ORDER)
+
+
 def test_fit_normalizer():
     feats = np.zeros((2, 13))
     feats[1] = 4095.0
@@ -159,58 +163,6 @@ def test_apply_normalizer_strictly_monotone():
     lo = apply_normalizer(norm, np.full(13, 3.0))
     hi = apply_normalizer(norm, np.full(13, 3.0001))
     assert (hi > lo).all()
-
-
-def test_sample_container_round_trip(tmp_path):
-    s = sample_set([0, 1, 1, 0, 1], seed=2)
-    # container stores 32-bit features
-    s = SampleSet(s.features.astype(np.float32).astype(np.float64), s.labels,
-                  s.band_order)
-    path = tmp_path / "s.lset"
-    save_samples(s, path)
-    back = load_samples(path)
-    assert np.array_equal(back.features, s.features)
-    assert np.array_equal(back.labels, s.labels)
-    assert back.band_order == s.band_order
-
-
-def test_sample_container_bytes_match_per_record_layout(tmp_path):
-    # features keep full float64 precision here, so the f32 narrowing is
-    # exercised too; the oracle writes one record at a time
-    s = sample_set([0, 1, 1, 0, 1, 1, 0], seed=5)
-    path = tmp_path / "s.lset"
-    save_samples(s, path)
-    body = bytearray()
-    for feats, label in zip(s.features, s.labels):
-        body += feats.astype("<f4").tobytes()
-        body.append(int(label))
-    header = ("LSET1 7 13 " + ",".join(CANONICAL_ORDER) + "\n").encode("ascii")
-    assert path.read_bytes() == header + bytes(body)
-
-
-def test_load_samples_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "s.lset"
-    save_samples(sample_set([0, 1, 1], seed=3), path)
-    path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(ValueError, match="payload has 2 samples and 52 stray bytes, expected 3"):
-        load_samples(path)
-
-
-@pytest.mark.parametrize("header", [b"LSET1 -1 13 a,b\n", b"LSET1 0 12 a,b\n", b"LSET1 1.5 13 a,b\n"])
-def test_load_samples_rejects_bad_header(tmp_path, header):
-    path = tmp_path / "s.lset"
-    path.write_bytes(header)
-    with pytest.raises(ValueError, match="bad sample container header"):
-        load_samples(path)
-
-
-@pytest.mark.parametrize("ids", [("B4", *CANONICAL_ORDER[1:]), ("X1", *CANONICAL_ORDER[1:]),
-                                 CANONICAL_ORDER[:12]])
-def test_load_samples_requires_13_distinct_band_ids(tmp_path, ids):
-    path = tmp_path / "s.lset"
-    path.write_bytes(f"LSET1 0 13 {','.join(ids)}\n".encode("ascii"))
-    with pytest.raises(ValueError, match="band id|bad sample container header"):
-        load_samples(path)
 
 
 # --- frozen reference outputs for seeds 0 and 1 ---

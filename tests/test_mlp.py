@@ -5,6 +5,7 @@ import pytest
 
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import Normalizer, SampleSet
+from litterscan.indexes import threshold_map
 from litterscan.mlp import (
     N_PARAMS,
     MlpModel,
@@ -51,7 +52,6 @@ def test_parameter_count_is_151():
     assert N_PARAMS == 14 * 10 + 11 == 151
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
     assert flatten_weights(m).size == 151
-    assert m.n_params == 151
 
 
 def test_init_deterministic_and_bounded():
@@ -222,14 +222,13 @@ def test_predict_map_threshold_and_range():
     m = pinned_model()
     rng = np.random.default_rng(2)
     cube = AlignedCube(CANONICAL_ORDER, rng.uniform(0, 1, size=(4, 5, 13)))
-    mask, omap = predict_map(m, cube, threshold=1.1)
-    assert not mask.labels.any()  # outputs < 1
+    omap = predict_map(m, cube)
     assert ((omap.values > 0) & (omap.values < 1)).all()
-    mask0, _ = predict_map(m, cube, threshold=-0.1)
-    assert mask0.labels.all()
+    assert not threshold_map(omap, 1.1).labels.any()  # outputs < 1
+    assert threshold_map(omap, -0.1).labels.all()
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="threshold must be finite"):
-            predict_map(m, cube, threshold=bad)
+            threshold_map(omap, bad)
 
 
 def test_predict_map_band_mismatch():

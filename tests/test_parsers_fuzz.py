@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.strategies import SearchStrategy
 
 from litterscan.bands import CANONICAL_ORDER
-from litterscan.dataset import SampleSet, load_samples
 from litterscan.mlp import MlpModel, load_model
 from litterscan.raster_io import BandStack, LabelMask, load_stack, read_float_raster, read_mask
 from litterscan.resample import AlignedCube, load_cube
@@ -109,22 +108,6 @@ PGM_HEADERS = (st.text(alphabet=" \n\t#0123456789+-x", max_size=16).map(str.enco
 def test_pgm_parses_or_rejects(tmp_path, raw):
     (tmp_path / "m.pgm").write_bytes(raw)
     parses_or_rejects(read_mask, tmp_path / "m.pgm", LabelMask)
-
-
-LSET1_HEADERS = (st.text(alphabet="LSET1 0123456789-+.,B", max_size=20)
-                 | st.just("LSET1 1 13 " + ",".join(CANONICAL_ORDER)))
-LSET1_RECORDS = st.builds(lambda f, y: np.array(f, "<f4").tobytes() + bytes([y]),
-                          st.lists(st.floats(width=32), min_size=13, max_size=13),
-                          st.integers(0, 2))
-
-
-@FUZZ
-@given(raw=st.binary(max_size=80)
-       | st.builds(lambda head, body: head.encode() + b"\n" + body, LSET1_HEADERS,
-                   st.binary(max_size=60) | LSET1_RECORDS))
-def test_sample_container_parses_or_rejects(tmp_path, raw):
-    (tmp_path / "s.lset").write_bytes(raw)
-    parses_or_rejects(load_samples, tmp_path / "s.lset", SampleSet)
 
 
 MODEL = {

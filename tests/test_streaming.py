@@ -1,6 +1,7 @@
 """`predict` and `index` read the cube in row blocks: the artifacts do not
 depend on the block size, a bad value in the last block leaves no output,
-and memory stays below the size of the cube's payload."""
+and memory stays below the size of the cube's payload. Masks are checked and
+thresholded once, in a few bytes per pixel."""
 
 import json
 import tracemalloc
@@ -13,6 +14,7 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
+from litterscan.raster_io import LabelMask, write_mask
 
 ROWS, COLS = 23, 17  # 391 px
 
@@ -98,6 +100,32 @@ def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, cap
     assert list(out.iterdir()) == []
 
 
+def test_predict_builds_one_label_mask(tmp_path, monkeypatch):
+    cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
+    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", COLS)
+    built = []
+    post_init = LabelMask.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LabelMask, "__post_init__", counting_post_init)
+    assert main(["predict", "--model", str(model), "--cube", str(cube),
+                 "--out", str(tmp_path / "pred.pgm")]) == 0
+    assert len(built) == 1
+
+
+def traced_peak(argv):
+    """Peak bytes allocated through numpy and Python while `main(argv)` runs."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_streamed_steps_use_less_memory_than_the_cube_payload(tmp_path):
     rows = cols = 1000
     cube, model = write_cube(tmp_path, rows, cols), write_model(tmp_path)
@@ -112,13 +140,25 @@ def test_streamed_steps_use_less_memory_than_the_cube_payload(tmp_path):
                            "--ndvi-max", "0.1", "--fdi-min", "0",
                            "--out", str(tmp_path / "combined.pgm")],
     }
-    peaks = {}
-    for name, argv in steps.items():
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {name: traced_peak(argv) for name, argv in steps.items()}
     assert all(peak < payload_bytes for peak in peaks.values()), (
         {name: f"{peak / payload_bytes:.2f}x payload" for name, peak in peaks.items()})
+
+
+def test_mask_steps_hold_a_few_bytes_per_mask_pixel(tmp_path, monkeypatch):
+    rows = cols = 1000
+    cube = write_cube(tmp_path, rows, cols)
+    # one-row blocks, so the peak is the mask's and not a block's
+    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", cols)
+    rng = np.random.default_rng(1)
+    for name in ("a.pgm", "b.pgm"):
+        write_mask(LabelMask(rng.random((rows, cols)) < 0.5), tmp_path / name)
+    steps = {
+        "eval": ["eval", "--pred", str(tmp_path / "a.pgm"), "--truth", str(tmp_path / "b.pgm"),
+                 "--out", str(tmp_path / "eval.json")],
+        "index combined": ["index", "--cube", str(cube), "--method", "combined",
+                           "--ndvi-max", "0.1", "--fdi-min", "0",
+                           "--out", str(tmp_path / "combined.pgm")],
+    }
+    per_pixel = {name: traced_peak(argv) / (rows * cols) for name, argv in steps.items()}
+    assert all(b < 8 for b in per_pixel.values()), per_pixel
