@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -170,8 +169,7 @@ def _cmd_train(args) -> None:
         "training": dataclasses.asdict(report),
         "test": test_metrics,
     }
-    raster_io.atomic_write_bytes(args.report or args.out + ".report.json",
-                                 json.dumps(full_report, indent=2).encode())
+    raster_io.write_json(args.report or args.out + ".report.json", full_report)
 
 
 def _cmd_predict(args) -> None:
@@ -190,8 +188,7 @@ def _cmd_eval(args) -> None:
     truth = raster_io.read_mask(args.truth)
     cm = evaluation.confusion(pred, truth)
     log.info("\n%s", evaluation.format_report(cm))
-    raster_io.atomic_write_bytes(args.out,
-                                 json.dumps(evaluation.metrics(cm), indent=2).encode())
+    raster_io.write_json(args.out, evaluation.metrics(cm))
 
 
 def _cmd_make_synthetic(args) -> None:

@@ -15,7 +15,6 @@ this order.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from .dataset import N_FEATURES, Normalizer, SampleSet, apply_normalizer
 from .indexes import IndexMap
-from .raster_io import atomic_write_bytes, read_json_object
+from .raster_io import read_json_object, write_json
 from .resample import AlignedCube
 from .rng import SplitMix64
 
@@ -123,14 +122,11 @@ _ALMOST_ONE = np.nextafter(1.0, 0.0)
 
 
 def _logistic(z):
-    # split by sign for overflow safety; clamp so saturated activations
-    # still honor the open-interval (0, 1) output contract in float64
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _TINY, _ALMOST_ONE)
+    # exp of -|z| never overflows: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below;
+    # clamp so saturated activations still honor the open-interval (0, 1)
+    # output contract in float64
+    e = np.exp(-np.abs(z))
+    return np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), _TINY, _ALMOST_ONE)
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +296,7 @@ def save_model(model: MlpModel, path: str | os.PathLike) -> None:
         },
         "band_order": list(model.band_order),
     }
-    atomic_write_bytes(path, json.dumps(doc, indent=2).encode())
+    write_json(path, doc)
 
 
 def _numbers(value, what: str) -> np.ndarray:

@@ -9,34 +9,51 @@ Formats:
   * float raster -- raw row-major 32-bit little-endian floats, with a JSON
     sidecar ``{"rows": ..., "cols": ...}`` at ``<path>.json``.
 
-All writes go to a temp file in the target directory and are renamed into
-place, so a failed write never leaves a partial artifact.
+Every file is written by `atomic_write`, in row blocks, to a temp file in
+the target directory that is renamed into place only when complete, so a
+failed write never leaves a partial artifact. Files honour the umask.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import BandSpec, canonical_index
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+# Pixels per row block (one row when a row is wider): the most of a raster
+# that `atomic_write` converts at once and that `resample.map_cube_rows`
+# reads at once.
+ROW_BLOCK_PIXELS = 1 << 16
+
+
+def atomic_write(path: str | os.PathLike, header: bytes, values: np.ndarray | None = None,
+                 dtype=None) -> None:
+    """Write `header`, then `values` in row-major order as `dtype`, to `path`.
+    Only one row block of `values` is converted at a time."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.write(header)
+            if values is not None:
+                step = max(1, ROW_BLOCK_PIXELS // values.shape[1])
+                for r0 in range(0, len(values), step):
+                    f.write(np.ascontiguousarray(values[r0:r0 + step], dtype=dtype))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+def write_json(path: str | os.PathLike, doc) -> None:
+    """`doc` as indented JSON: manifests, models, reports and metrics."""
+    atomic_write(path, json.dumps(doc, indent=2).encode())
 
 
 def read_json_object(path: str | os.PathLike, what: str) -> dict:
@@ -218,8 +235,7 @@ def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
     entries = []
     for b in stack.bands:
         fname = f"{stem}_{b.spec.id}.u16"
-        atomic_write_bytes(os.path.join(base, fname),
-                           b.pixels.astype("<u2").tobytes())
+        atomic_write(os.path.join(base, fname), b"", b.pixels, "<u2")
         entries.append({
             "id": b.spec.id,
             "wavelength_nm": b.spec.wavelength_nm,
@@ -230,7 +246,7 @@ def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
             "dtype": "u16le",
         })
     doc = {"extent_m": stack.extent_m, "bands": entries}
-    atomic_write_bytes(manifest_path, json.dumps(doc, indent=2).encode())
+    write_json(manifest_path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +295,8 @@ def read_mask(path: str | os.PathLike) -> LabelMask:
 
 
 def write_mask(mask: LabelMask, path: str | os.PathLike) -> None:
-    header = f"P5\n{mask.cols} {mask.rows}\n255\n".encode("ascii")
-    payload = (mask.labels * np.uint8(255)).tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write(path, f"P5\n{mask.cols} {mask.rows}\n255\n".encode("ascii"),
+                 mask.labels * np.uint8(255), "u1")
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +310,8 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
     if not np.isfinite(values).all():
         raise ValueError("float raster values must be finite")
     rows, cols = values.shape
-    atomic_write_bytes(path, values.astype("<f4").tobytes())
-    sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
-    atomic_write_bytes(os.fspath(path) + ".json", sidecar)
+    atomic_write(path, b"", values, "<f4")
+    atomic_write(os.fspath(path) + ".json", json.dumps({"rows": rows, "cols": cols}).encode())
 
 
 def read_float_raster(path: str | os.PathLike) -> np.ndarray:

@@ -9,7 +9,6 @@ concentric):
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
@@ -17,8 +16,8 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .bands import check_band_ids
-from .raster_io import (Band, BandStack, atomic_write_bytes, check_payload_size, read_dims,
-                        read_json_object)
+from .raster_io import (ROW_BLOCK_PIXELS, Band, BandStack, atomic_write, check_payload_size,
+                        read_dims, read_json_object, write_json)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
 
@@ -111,16 +110,15 @@ class AlignedCube:
 
 def align_stack(stack: BandStack) -> AlignedCube:
     """Resample every band to the finest grid present in the stack."""
-    finest = min(b.spec.native_gsd_m for b in stack.bands)
-    planes, ids = [], []
-    for b in stack.bands:  # already canonical order
-        ratio = b.spec.native_gsd_m / finest
+    finest = min(stack.bands, key=lambda b: b.spec.native_gsd_m)
+    values = np.empty((finest.rows, finest.cols, len(stack.bands)))
+    for i, b in enumerate(stack.bands):  # already canonical order
+        ratio = b.spec.native_gsd_m / finest.spec.native_gsd_m
         scale = int(round(ratio))
         if abs(ratio - scale) > 1e-9 or scale not in SUPPORTED_SCALES:
             raise ValueError(f"band {b.spec.id}: grid ratio {ratio} unsupported")
-        planes.append(resample_band(b, scale))
-        ids.append(b.spec.id)
-    return AlignedCube(tuple(ids), np.stack(planes, axis=-1))
+        values[:, :, i] = resample_band(b, scale)
+    return AlignedCube(stack.band_ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +126,15 @@ def align_stack(stack: BandStack) -> AlignedCube:
 
 def save_cube(cube: AlignedCube, manifest_path: str | os.PathLike) -> None:
     manifest_path = os.fspath(manifest_path)
-    base = os.path.dirname(manifest_path)
     fname = os.path.splitext(os.path.basename(manifest_path))[0] + ".f32"
-    atomic_write_bytes(os.path.join(base, fname),
-                       cube.values.astype("<f4").tobytes())
-    doc = {
+    if fname == os.path.basename(manifest_path):
+        raise ValueError(f"cube manifest {manifest_path} would be overwritten by its "
+                         "payload; give it a name that does not end in .f32")
+    atomic_write(os.path.join(os.path.dirname(manifest_path), fname), b"", cube.values, "<f4")
+    write_json(manifest_path, {
         "rows": cube.rows, "cols": cube.cols,
         "bands": list(cube.band_ids), "dtype": "f32le", "file": fname,
-    }
-    atomic_write_bytes(manifest_path, json.dumps(doc, indent=2).encode())
-
-
-# Pixels per row block in `map_cube_rows` (one row when a row is wider): the
-# most of a cube that it holds in float64 at once.
-ROW_BLOCK_PIXELS = 1 << 16
+    })
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,20 @@ def test_resample_rejects_malformed_stack(tmp_path, capsys, case):
     assert_one_line_failure(capsys, "resample", out)
 
 
+@pytest.mark.parametrize("cmd", ["make-synthetic", "resample"])
+def test_cube_manifest_named_like_its_payload_is_rejected(tmp_path, capsys, cmd):
+    manifest = tmp_path / "stack.json"
+    save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), manifest)
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "cube.f32"
+    argv = {"make-synthetic": ["--out-cube", str(out), "--out-mask", str(tmp_path / "m.pgm"),
+                               "--rows", "4", "--cols", "4"],
+            "resample": ["--manifest", str(manifest), "--out", str(out)]}[cmd]
+    assert run(cmd, *argv) == 1
+    assert_one_line_failure(capsys, cmd, out, "overwritten by its payload")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 MALFORMED_PGMS = {
     "magic_only": b"P5\n",
     "comment_without_newline": b"P5\n# no newline",

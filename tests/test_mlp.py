@@ -7,7 +7,10 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import Normalizer, SampleSet
 from litterscan.indexes import threshold_map
 from litterscan.mlp import (
+    _ALMOST_ONE,
+    _TINY,
     N_PARAMS,
+    _logistic,
     MlpModel,
     TrainConfig,
     TrainReport,
@@ -85,6 +88,24 @@ PINNED_FORWARD = 0.45016600268752209  # straight-line evaluation, 40-digit arith
 def test_forward_pinned_vector():
     x = np.array([(k - 6) / 6 for k in range(13)])
     assert forward(pinned_model(), x) == pytest.approx(PINNED_FORWARD, rel=1e-14)
+
+
+def split_by_sign_logistic(z):
+    """Reference: each sign's half computed apart, through boolean indexing."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, _TINY, _ALMOST_ONE)
+
+
+def test_logistic_matches_split_by_sign_formulation():
+    edges = np.array([0.0, -0.0, 1e-320, -1e-320, 40.0, -40.0, 800.0, -800.0])
+    z = np.concatenate([edges, np.random.default_rng(6).normal(0.0, 800.0, 10**5)])
+    got, want = _logistic(z), split_by_sign_logistic(z)
+    assert got.tobytes() == want.tobytes()
+    assert ((got > 0) & (got < 1)).all()
 
 
 def test_loss_examples():

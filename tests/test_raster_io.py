@@ -1,10 +1,15 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from conftest import make_band
+from litterscan import raster_io
 from litterscan.bands import CANONICAL_ORDER, SENTINEL2_BANDS, canonical_spec
+from litterscan.dataset import Normalizer
+from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import (
     Band,
     BandStack,
@@ -17,6 +22,7 @@ from litterscan.raster_io import (
     write_float_raster,
     write_mask,
 )
+from litterscan.resample import AlignedCube, save_cube
 
 # Sentinel-2 MSI band table: (wavelength nm, resolution m).
 TABLE_I = {
@@ -223,3 +229,65 @@ def test_float_raster_sidecar_must_be_object(tmp_path):
 def test_band_rejects_out_of_range_pixels():
     with pytest.raises(ValueError):
         Band(canonical_spec("B2"), np.array([[70000]], dtype=np.int64))
+
+
+# --- the one writer ---
+
+ROWS, COLS = 7, 5
+
+
+def write_every_raster(directory):
+    """A cube, a band stack, a float raster and a mask from the same seeded
+    values; returns {file name: bytes} and the bytes a one-shot encoding gives."""
+    rng = np.random.default_rng(8)
+    values = rng.integers(0, 4096, size=(ROWS, COLS, 2)).astype(np.float64)
+    labels = (values[:, :, 0] > 2048).astype(np.uint8)
+    directory.mkdir()
+    save_cube(AlignedCube(("B4", "B8"), values), directory / "cube.json")
+    band = values[:COLS, :, 0]  # bands are square
+    save_stack(BandStack((make_band("B4", band),), extent_m=10.0 * COLS), directory / "s.json")
+    write_float_raster(values[:, :, 1] / 7.0, directory / "r.f32")
+    write_mask(LabelMask(labels), directory / "m.pgm")
+    one_shot = {
+        "cube.f32": values.astype("<f4").tobytes(),
+        "s_B4.u16": band.astype("<u2").tobytes(),
+        "r.f32": (values[:, :, 1] / 7.0).astype("<f4").tobytes(),
+        "r.f32.json": b'{"rows": 7, "cols": 5}',
+        "m.pgm": b"P5\n5 7\n255\n" + (labels * np.uint8(255)).tobytes(),
+    }
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}, one_shot
+
+
+@pytest.mark.parametrize("block_pixels", [
+    1,              # a row wider than a block: one row per block
+    COLS,           # single-row blocks
+    2 * COLS + 2,   # two rows per block, a ragged last block of one
+])
+def test_written_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixels):
+    whole, one_shot = write_every_raster(tmp_path / "whole")
+    assert {name: whole[name] for name in one_shot} == one_shot
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
+    assert write_every_raster(tmp_path / "blocked")[0] == whole
+
+
+def test_failure_in_second_block_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 2)  # one row per block
+    values = np.array([[1.0, 2.0], [3.0, "not a number"]], dtype=object)
+    with pytest.raises(ValueError, match="not a number"):
+        raster_io.atomic_write(tmp_path / "r.f32", b"", values, "<f4")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_artifacts_honour_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_mask(LabelMask(np.eye(3)), tmp_path / "m.pgm")
+        save_cube(AlignedCube(("B8",), np.ones((2, 3, 1))), tmp_path / "cube.json")
+        write_float_raster(np.ones((2, 3)), tmp_path / "r.f32")
+        save_model(init_model(0, Normalizer(np.zeros(13), np.ones(13)), CANONICAL_ORDER),
+                   tmp_path / "model.json")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["m.pgm", "cube.f32", "cube.json", "r.f32", "r.f32.json", "model.json"], 0o644)

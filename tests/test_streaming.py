@@ -1,7 +1,8 @@
 """`predict` and `index` read the cube in row blocks: the artifacts do not
 depend on the block size, a bad value in the last block leaves no output,
 and memory stays below the size of the cube's payload. Masks are checked and
-thresholded once, in a few bytes per pixel."""
+thresholded once, in a few bytes per pixel. Aligning and saving a stack holds
+one float64 cube."""
 
 import json
 import tracemalloc
@@ -9,12 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from litterscan import resample
-from litterscan.bands import CANONICAL_ORDER
+from conftest import make_band
+from litterscan import raster_io, resample
+from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import LabelMask, write_mask
+from litterscan.raster_io import BandStack, LabelMask, write_mask
 
 ROWS, COLS = 23, 17  # 391 px
 
@@ -162,3 +164,23 @@ def test_mask_steps_hold_a_few_bytes_per_mask_pixel(tmp_path, monkeypatch):
     }
     per_pixel = {name: traced_peak(argv) / (rows * cols) for name, argv in steps.items()}
     assert all(b < 8 for b in per_pixel.values()), per_pixel
+
+
+def test_align_and_save_hold_one_float64_cube(tmp_path, monkeypatch):
+    size = 240  # 10 m grid; 20 m and 60 m bands are 120² and 40²
+    rng = np.random.default_rng(4)
+    bands = []
+    for bid in CANONICAL_ORDER:
+        n = int(size * 10 // canonical_spec(bid).native_gsd_m)
+        bands.append(make_band(bid, rng.integers(0, 4096, (n, n))))
+    stack = BandStack(tuple(bands), size * 10.0)
+    # one-row write blocks, so the peak is the cube's and not a block's
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", size)
+    tracemalloc.start()
+    try:
+        resample.save_cube(resample.align_stack(stack), tmp_path / "cube.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cube_bytes = size * size * len(CANONICAL_ORDER) * 8
+    assert peak < 1.5 * cube_bytes, f"{peak / cube_bytes:.2f}x the float64 cube"
