@@ -95,9 +95,24 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
+    """Raise ValueError if two outputs, or an output and an input, are one
+    file (symlinks resolved). Called before anything is written."""
+    reads = {os.path.realpath(p) for p in inputs}
+    writes = set()
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in reads:
+            raise ValueError(f"output {path} would overwrite an input")
+        if real in writes:
+            raise ValueError(f"output {path} would be written twice")
+        writes.add(real)
+
+
 def _cmd_import(args) -> None:
     from .bands import canonical_spec
 
+    _check_outputs([path for _, path in args.band], [args.out])
     bands = []
     for bid, path in args.band:
         bands.append(raster_io.import_pgm_band(path, canonical_spec(bid)))
@@ -107,10 +122,10 @@ def _cmd_import(args) -> None:
 
 
 def _cmd_resample(args) -> None:
-    stack = raster_io.load_stack(args.manifest)
-    cube = resample.align_stack(stack)
-    resample.save_cube(cube, args.out)
-    log.info("aligned %d band(s) to %dx%d", cube.n_bands, cube.rows, cube.cols)
+    _check_outputs([args.manifest], [args.out, resample.cube_payload_path(args.out)])
+    aligned = resample.StackAlignment(raster_io.load_stack(args.manifest))
+    resample.save_cube(aligned, args.out)
+    log.info("aligned %d band(s) to %dx%d", len(aligned.band_ids), aligned.rows, aligned.cols)
 
 
 def _cmd_index(args) -> None:
@@ -126,6 +141,11 @@ def _cmd_index(args) -> None:
     if args.threshold is not None:
         indexes.check_threshold(args.threshold)
     header = resample.read_cube_header(args.cube)
+    mask_path = args.mask_out or args.out + ".mask.pgm"
+    outputs = [args.out] if combined else [args.out, args.out + ".json"]  # with sidecar
+    if args.threshold is not None:
+        outputs.append(mask_path)
+    _check_outputs([args.cube, header.payload], outputs)
     if combined:
         labels = resample.map_cube_rows(header, lambda block: indexes.combined_index_mask(
             block, args.ndvi_max, args.fdi_min).labels)
@@ -135,11 +155,13 @@ def _cmd_index(args) -> None:
     imap = indexes.IndexMap(resample.map_cube_rows(header, lambda block: index(block).values))
     raster_io.write_float_raster(imap.values, args.out)
     if args.threshold is not None:
-        mask_path = args.mask_out or args.out + ".mask.pgm"
         raster_io.write_mask(indexes.threshold_map(imap, args.threshold), mask_path)
 
 
 def _cmd_train(args) -> None:
+    report_path = args.report or args.out + ".report.json"
+    _check_outputs([args.cube, resample.read_cube_header(args.cube).payload, args.mask],
+                   [args.out, report_path])
     cube = resample.load_cube(args.cube)
     truth = raster_io.read_mask(args.mask)
     samples = dataset.extract_samples(cube, truth)
@@ -169,13 +191,15 @@ def _cmd_train(args) -> None:
         "training": dataclasses.asdict(report),
         "test": test_metrics,
     }
-    raster_io.write_json(args.report or args.out + ".report.json", full_report)
+    raster_io.write_json(report_path, full_report)
 
 
 def _cmd_predict(args) -> None:
     indexes.check_threshold(args.threshold)
-    model = mlp.load_model(args.model)
     header = resample.read_cube_header(args.cube)
+    _check_outputs([args.model, args.cube, header.payload],
+                   [args.out] + ([args.map_out, args.map_out + ".json"] if args.map_out else []))
+    model = mlp.load_model(args.model)
     scores = indexes.IndexMap(resample.map_cube_rows(
         header, lambda block: mlp.predict_map(model, block).values))
     raster_io.write_mask(indexes.threshold_map(scores, args.threshold), args.out)
@@ -184,6 +208,7 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    _check_outputs([args.pred, args.truth], [args.out])
     pred = raster_io.read_mask(args.pred)
     truth = raster_io.read_mask(args.truth)
     cm = evaluation.confusion(pred, truth)
@@ -192,6 +217,8 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_make_synthetic(args) -> None:
+    _check_outputs([], [args.out_cube, resample.cube_payload_path(args.out_cube),
+                        args.out_mask])
     cube, mask = synthetic.make_scene(args.rows, args.cols, args.plastic_frac,
                                       args.seed)
     resample.save_cube(cube, args.out_cube)

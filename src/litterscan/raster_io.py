@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -26,25 +27,29 @@ from .bands import BandSpec, canonical_index
 
 
 # Pixels per row block (one row when a row is wider): the most of a raster
-# that `atomic_write` converts at once and that `resample.map_cube_rows`
-# reads at once.
+# that `atomic_write` converts at once, that `resample.map_cube_rows` reads
+# at once and that `resample.StackAlignment` resamples at once.
 ROW_BLOCK_PIXELS = 1 << 16
 
 
-def atomic_write(path: str | os.PathLike, header: bytes, values: np.ndarray | None = None,
-                 dtype=None) -> None:
+def atomic_write(path: str | os.PathLike, header: bytes,
+                 values: np.ndarray | Iterable[np.ndarray] = (), dtype=None) -> None:
     """Write `header`, then `values` in row-major order as `dtype`, to `path`.
-    Only one row block of `values` is converted at a time."""
+    `values` is an array, converted one row block at a time, or an iterable
+    of row blocks, each converted as it comes."""
     path = os.fspath(path)
+    blocks = values
+    if isinstance(values, np.ndarray):
+        step = max(1, ROW_BLOCK_PIXELS // values.shape[1])
+        blocks = (values[r0:r0 + step] for r0 in range(0, len(values), step))
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(header)
-            if values is not None:
-                step = max(1, ROW_BLOCK_PIXELS // values.shape[1])
-                for r0 in range(0, len(values), step):
-                    f.write(np.ascontiguousarray(values[r0:r0 + step], dtype=dtype))
+            for block in blocks:
+                f.write(np.ascontiguousarray(block, dtype=dtype))
+                del block  # not held while the next block is built
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -36,8 +36,8 @@ def lanczos3_kernel(x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _axis_taps(n_src: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-output-sample clamped source indices (n_dst, 6) and normalized
-    weights (n_dst, 6) for one axis."""
+    """Clamped source indices and normalized weights of each output sample
+    on one axis, as contiguous (6, n_dst) arrays: one row per tap."""
     n_dst = n_src * scale
     dst = np.arange(n_dst, dtype=np.float64)
     src = (dst + 0.5) / scale - 0.5
@@ -47,14 +47,31 @@ def _axis_taps(n_src: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
     x = src[:, None] - idx
     w = lanczos3_kernel(x)
     w /= w.sum(axis=1, keepdims=True)
-    return np.clip(idx, 0, n_src - 1), w
+    return np.ascontiguousarray(np.clip(idx, 0, n_src - 1).T), np.ascontiguousarray(w.T)
 
 
-def _resample_axis0(img: np.ndarray, scale: int) -> np.ndarray:
-    idx, w = _axis_taps(img.shape[0], scale)
-    out = np.zeros((idx.shape[0], img.shape[1]), dtype=np.float64)
-    for k in range(idx.shape[1]):
-        out += w[:, k:k + 1] * img[idx[:, k], :]
+def _grid_taps(shape: tuple[int, int], scale: int):
+    """Row taps and column taps for upscaling a grid of `shape` by `scale`;
+    None at scale 1."""
+    if scale == 1:
+        return None
+    return _axis_taps(shape[0], scale), _axis_taps(shape[1], scale)
+
+
+def _resample_rows(img: np.ndarray, taps, r0: int, r1: int) -> np.ndarray:
+    """Output rows r0:r1 of `img` upscaled with `taps` (from `_grid_taps`),
+    as float64. The row pass reads only the source rows the block's taps
+    touch; the column pass gathers columns. Each output value is the same
+    sum of the same products, in the same tap order, whatever the block."""
+    if taps is None:
+        return img[r0:r1].astype(np.float64)
+    (iy, wy), (ix, wx) = taps
+    tmp = np.zeros((r1 - r0, img.shape[1]))
+    for k in range(len(iy)):
+        tmp += wy[k, r0:r1, None] * img[iy[k, r0:r1]]  # integer pixels widen exactly
+    out = np.zeros((r1 - r0, ix.shape[1]))
+    for k in range(len(ix)):
+        out += wx[k] * tmp.take(ix[k], axis=1)
     return out
 
 
@@ -63,11 +80,7 @@ def resample_band(band: Band | np.ndarray, scale: int) -> np.ndarray:
     if scale not in SUPPORTED_SCALES:
         raise ValueError(f"unsupported scale {scale} (expected one of {SUPPORTED_SCALES})")
     img = band.pixels if isinstance(band, Band) else np.asarray(band)
-    img = img.astype(np.float64)  # always a copy
-    if scale == 1:
-        return img
-    out = _resample_axis0(img, scale)
-    return _resample_axis0(out.T, scale).T
+    return _resample_rows(img, _grid_taps(img.shape, scale), 0, img.shape[0] * scale)
 
 
 @dataclass(frozen=True)
@@ -108,32 +121,66 @@ class AlignedCube:
             raise ValueError(f"cube has no band {band_id!r}") from None
 
 
+class StackAlignment:
+    """A stack's bands resampled onto the finest grid present, computed one
+    output row block at a time from the bands' own pixels. Taps are built
+    once per band and axis."""
+
+    def __init__(self, stack: BandStack):
+        finest = min(stack.bands, key=lambda b: b.spec.native_gsd_m)
+        self.band_ids = stack.band_ids
+        self.rows, self.cols = finest.rows, finest.cols
+        self._bands = []
+        for b in stack.bands:  # already canonical order
+            ratio = b.spec.native_gsd_m / finest.spec.native_gsd_m
+            scale = int(round(ratio))
+            if abs(ratio - scale) > 1e-9 or scale not in SUPPORTED_SCALES:
+                raise ValueError(f"band {b.spec.id}: grid ratio {ratio} unsupported")
+            self._bands.append((b.pixels, _grid_taps(b.pixels.shape, scale)))
+
+    def rows_block(self, r0: int, r1: int) -> AlignedCube:
+        """Output rows r0:r1 of every band, interleaved."""
+        values = np.empty((r1 - r0, self.cols, len(self._bands)))
+        for i, (img, taps) in enumerate(self._bands):
+            values[:, :, i] = _resample_rows(img, taps, r0, r1)
+        return AlignedCube(self.band_ids, values)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The aligned values in row blocks of at most ROW_BLOCK_PIXELS
+        pixels (one row when a row is wider)."""
+        step = max(1, ROW_BLOCK_PIXELS // self.cols)
+        for r0 in range(0, self.rows, step):
+            yield self.rows_block(r0, min(r0 + step, self.rows)).values
+
+
 def align_stack(stack: BandStack) -> AlignedCube:
     """Resample every band to the finest grid present in the stack."""
-    finest = min(stack.bands, key=lambda b: b.spec.native_gsd_m)
-    values = np.empty((finest.rows, finest.cols, len(stack.bands)))
-    for i, b in enumerate(stack.bands):  # already canonical order
-        ratio = b.spec.native_gsd_m / finest.spec.native_gsd_m
-        scale = int(round(ratio))
-        if abs(ratio - scale) > 1e-9 or scale not in SUPPORTED_SCALES:
-            raise ValueError(f"band {b.spec.id}: grid ratio {ratio} unsupported")
-        values[:, :, i] = resample_band(b, scale)
-    return AlignedCube(stack.band_ids, values)
+    aligned = StackAlignment(stack)
+    return aligned.rows_block(0, aligned.rows)
 
 
 # ---------------------------------------------------------------------------
 # cube container: f32le payload (row-major, band-interleaved) + JSON manifest
 
-def save_cube(cube: AlignedCube, manifest_path: str | os.PathLike) -> None:
+def cube_payload_path(manifest_path: str | os.PathLike) -> str:
+    """The payload file that `save_cube` writes beside a cube manifest."""
     manifest_path = os.fspath(manifest_path)
-    fname = os.path.splitext(os.path.basename(manifest_path))[0] + ".f32"
-    if fname == os.path.basename(manifest_path):
+    payload = os.path.splitext(manifest_path)[0] + ".f32"
+    if payload == manifest_path:
         raise ValueError(f"cube manifest {manifest_path} would be overwritten by its "
                          "payload; give it a name that does not end in .f32")
-    atomic_write(os.path.join(os.path.dirname(manifest_path), fname), b"", cube.values, "<f4")
+    return payload
+
+
+def save_cube(cube: AlignedCube | StackAlignment, manifest_path: str | os.PathLike) -> None:
+    """Write the payload, then the manifest. A StackAlignment is resampled
+    and written one row block at a time."""
+    payload = cube_payload_path(manifest_path)
+    values = cube.values if isinstance(cube, AlignedCube) else cube.blocks()
+    atomic_write(payload, b"", values, "<f4")
     write_json(manifest_path, {
         "rows": cube.rows, "cols": cube.cols,
-        "bands": list(cube.band_ids), "dtype": "f32le", "file": fname,
+        "bands": list(cube.band_ids), "dtype": "f32le", "file": os.path.basename(payload),
     })
 
 

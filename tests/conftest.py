@@ -55,3 +55,22 @@ def oracle_resample(img: np.ndarray, scale: int) -> np.ndarray:
 @pytest.fixture
 def full_band_order():
     return CANONICAL_ORDER
+
+
+def write_coast_pgms(directory, size: int, band_ids, seed: int) -> list[str]:
+    """`import` arguments for a seeded coastline stack: one 16-bit PGM per
+    band at its native grid, `size` px square on the finest grid present.
+    Land lies west of a meandering coast, 1500-3100 DN brighter than the
+    water, with uniform noise, so Lanczos3 rings across the coast."""
+    finest = min(canonical_spec(b).native_gsd_m for b in band_ids)
+    rng = np.random.default_rng(seed)
+    argv = []
+    for i, bid in enumerate(band_ids):
+        n = int(size * finest // canonical_spec(bid).native_gsd_m)
+        centre = (np.arange(n) + 0.5) / n
+        land = centre[None, :] < 0.5 + 0.2 * np.sin(3.0 * np.pi * centre)[:, None]
+        px = np.where(land, 1600 + 100 * i, 100) + rng.integers(0, 40, (n, n))
+        path = directory / f"{bid}.pgm"
+        path.write_bytes(f"P5\n{n} {n}\n65535\n".encode("ascii") + px.astype(">u2").tobytes())
+        argv += ["--band", f"{bid}={path}"]
+    return argv + ["--extent-m", str(size * finest)]

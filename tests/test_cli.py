@@ -313,3 +313,77 @@ def test_import_rejects_malformed_pgm(tmp_path, capsys, case):
     assert run("import", "--band", f"B8={pgm}", "--extent-m", "10",
                "--out", str(out)) == 1
     assert_one_line_failure(capsys, "import", out, mentions="PGM")
+
+
+def tree_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# Each case: argv under tmp_path (holding the 40² scene, model.json and a
+# stack manifest saved as both stack.json and stack.f32) whose outputs clash with an input or with each other.
+PATH_CLASHES = {
+    "predict_map_out_is_cube_payload": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "p.pgm", "--map-out", "scene.cube.f32"], "would overwrite an input"),
+    "predict_out_is_cube_manifest": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "scene.cube.json"], "would overwrite an input"),
+    "predict_map_out_is_model": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "p.pgm", "--map-out", "model.json"], "would overwrite an input"),
+    "predict_map_out_links_to_payload": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "p.pgm", "--map-out", "link.f32"], "would overwrite an input"),
+    "index_out_is_cube_payload": (
+        ["index", "--cube", "scene.cube.json", "--method", "fdi",
+         "--out", "scene.cube.f32"], "would overwrite an input"),
+    "index_sidecar_is_cube_manifest": (
+        ["index", "--cube", "scene.cube.json", "--method", "ndvi",
+         "--out", "scene.cube"], "would overwrite an input"),
+    "index_mask_out_is_cube_manifest": (
+        ["index", "--cube", "scene.cube.json", "--method", "fdi", "--out", "f.f32",
+         "--threshold", "0", "--mask-out", "scene.cube.json"], "would overwrite an input"),
+    "resample_out_is_manifest": (
+        ["resample", "--manifest", "stack.json", "--out", "stack.json"],
+        "would overwrite an input"),
+    "resample_payload_is_manifest": (
+        ["resample", "--manifest", "stack.f32", "--out", "stack.json"],
+        "would overwrite an input"),
+    "predict_out_twice": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "x", "--map-out", "x"], "would be written twice"),
+    "predict_out_is_sidecar": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "x.json", "--map-out", "x"], "would be written twice"),
+    "index_mask_out_is_out": (
+        ["index", "--cube", "scene.cube.json", "--method", "fdi", "--out", "y.f32",
+         "--threshold", "0", "--mask-out", "y.f32"], "would be written twice"),
+    "index_mask_out_is_sidecar": (
+        ["index", "--cube", "scene.cube.json", "--method", "fdi", "--out", "y.f32",
+         "--threshold", "0", "--mask-out", "y.f32.json"], "would be written twice"),
+    "train_report_is_model": (
+        ["train", "--cube", "scene.cube.json", "--mask", "scene.mask.pgm",
+         "--out", "m.json", "--report", "m.json"], "would be written twice"),
+    "make_synthetic_mask_is_cube": (
+        ["make-synthetic", "--out-cube", "s.json", "--out-mask", "s.f32"],
+        "would be written twice"),
+    "eval_out_is_truth": (
+        ["eval", "--pred", "scene.mask.pgm", "--truth", "scene.mask.pgm",
+         "--out", "scene.mask.pgm"], "would overwrite an input"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CLASHES))
+def test_output_path_clash_is_rejected(tmp_path, scene, model_path, monkeypatch, capsys,
+                                       case):
+    for name in ("stack.json", "stack.f32"):
+        save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), tmp_path / name)
+    (tmp_path / "link.f32").symlink_to(tmp_path / "scene.cube.f32")
+    monkeypatch.chdir(tmp_path)
+    before = tree_bytes(tmp_path)
+    argv, mentions = PATH_CLASHES[case]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"litterscan {argv[0]}: output ") and err.count("\n") == 1, err
+    assert mentions in err
+    assert tree_bytes(tmp_path) == before

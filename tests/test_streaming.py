@@ -1,8 +1,9 @@
 """`predict` and `index` read the cube in row blocks: the artifacts do not
 depend on the block size, a bad value in the last block leaves no output,
 and memory stays below the size of the cube's payload. Masks are checked and
-thresholded once, in a few bytes per pixel. Aligning and saving a stack holds
-one float64 cube."""
+thresholded once, in a few bytes per pixel. `resample` builds and writes the
+cube in row blocks: its bytes do not depend on the block size and it holds
+the stack plus one block; `align_stack` holds one float64 cube."""
 
 import json
 import tracemalloc
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_band
+from conftest import make_band, write_coast_pgms
 from litterscan import raster_io, resample
 from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
@@ -184,3 +185,64 @@ def test_align_and_save_hold_one_float64_cube(tmp_path, monkeypatch):
         tracemalloc.stop()
     cube_bytes = size * size * len(CANONICAL_ORDER) * 8
     assert peak < 1.5 * cube_bytes, f"{peak / cube_bytes:.2f}x the float64 cube"
+
+
+COARSE_IDS = tuple(b for b in CANONICAL_ORDER if canonical_spec(b).native_gsd_m > 10)
+# name -> (finest grid size, band ids): a 10 m stack (scales 1, 2, 6) and a
+# 20 m one (scales 1, 3)
+RESAMPLE_STACKS = {"mixed": (42, CANONICAL_ORDER), "coarse": (27, COARSE_IDS)}
+
+
+def resample_artifacts(directory, name):
+    """{file: bytes} of `import -> resample` on one seeded coastline stack."""
+    directory.mkdir()
+    size, band_ids = RESAMPLE_STACKS[name]
+    args = write_coast_pgms(directory, size, band_ids, seed=5)
+    assert main(["import", *args, "--out", str(directory / "stack.json")]) == 0
+    assert main(["resample", "--manifest", str(directory / "stack.json"),
+                 "--out", str(directory / "cube.json")]) == 0
+    return {name: (directory / name).read_bytes() for name in ("cube.f32", "cube.json")}
+
+
+@pytest.mark.parametrize("block_rows, extra_pixels", [
+    (0, 1),  # one pixel: a row wider than a block, so one row per block
+    (1, 0),  # single-row blocks
+    (2, 2),  # two rows: a ragged last block of one on the 27-row stack
+    (4, 0),  # ragged last blocks on both stacks
+])
+@pytest.mark.parametrize("name", sorted(RESAMPLE_STACKS))
+def test_resample_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, name,
+                                                    block_rows, extra_pixels):
+    size = RESAMPLE_STACKS[name][0]
+    whole = resample_artifacts(tmp_path / "whole", name)
+    blocks = []
+    rows_block = resample.StackAlignment.rows_block
+
+    def recording_rows_block(self, r0, r1):
+        blocks.append(r1 - r0)
+        return rows_block(self, r0, r1)
+
+    block_pixels = block_rows * size + extra_pixels
+    monkeypatch.setattr(resample.StackAlignment, "rows_block", recording_rows_block)
+    # the writer's and the resampler's block sizes, both
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
+    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", block_pixels)
+    assert resample_artifacts(tmp_path / "blocked", name) == whole
+    per_block = max(1, block_rows)
+    full, ragged = divmod(size, per_block)
+    assert blocks == [per_block] * full + ([ragged] if ragged else [])
+
+
+def test_resample_holds_less_than_half_the_cube_payload(tmp_path):
+    size = 1200  # 10 m grid
+    rng = np.random.default_rng(6)
+    bands = []
+    for bid in CANONICAL_ORDER:
+        n = int(size * 10 // canonical_spec(bid).native_gsd_m)
+        bands.append(make_band(bid, rng.integers(0, 4096, (n, n))))
+    raster_io.save_stack(BandStack(tuple(bands), size * 10.0), tmp_path / "stack.json")
+    del bands
+    peak = traced_peak(["resample", "--manifest", str(tmp_path / "stack.json"),
+                        "--out", str(tmp_path / "cube.json")])
+    payload_bytes = size * size * len(CANONICAL_ORDER) * 4
+    assert peak < 0.5 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
