@@ -109,6 +109,11 @@ def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
         writes.add(real)
 
 
+def _map_outputs(raster: str | None, mask: str | None) -> list[str]:
+    """The files that `raster_io.write_map(..., raster, mask)` writes."""
+    return ([raster, raster + ".json"] if raster else []) + ([mask] if mask else [])
+
+
 def _cmd_import(args) -> None:
     from .bands import canonical_spec
 
@@ -141,21 +146,17 @@ def _cmd_index(args) -> None:
     if args.threshold is not None:
         indexes.check_threshold(args.threshold)
     header = resample.read_cube_header(args.cube)
-    mask_path = args.mask_out or args.out + ".mask.pgm"
-    outputs = [args.out] if combined else [args.out, args.out + ".json"]  # with sidecar
-    if args.threshold is not None:
-        outputs.append(mask_path)
-    _check_outputs([args.cube, header.payload], outputs)
     if combined:
-        labels = resample.map_cube_rows(header, lambda block: indexes.combined_index_mask(
+        raster, mask = None, args.out
+        blocks = resample.map_cube_rows(header, lambda block: indexes.combined_index_mask(
             block, args.ndvi_max, args.fdi_min).labels)
-        raster_io.write_mask(raster_io.LabelMask(labels), args.out)
-        return
-    index = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[args.method]
-    imap = indexes.IndexMap(resample.map_cube_rows(header, lambda block: index(block).values))
-    raster_io.write_float_raster(imap.values, args.out)
-    if args.threshold is not None:
-        raster_io.write_mask(indexes.threshold_map(imap, args.threshold), mask_path)
+    else:
+        index = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[args.method]
+        raster = args.out
+        mask = None if args.threshold is None else args.mask_out or args.out + ".mask.pgm"
+        blocks = resample.map_cube_rows(header, lambda block: index(block).values)
+    _check_outputs([args.cube, header.payload], _map_outputs(raster, mask))
+    raster_io.write_map(blocks, header.rows, header.cols, raster, mask, args.threshold)
 
 
 def _cmd_train(args) -> None:
@@ -197,14 +198,11 @@ def _cmd_train(args) -> None:
 def _cmd_predict(args) -> None:
     indexes.check_threshold(args.threshold)
     header = resample.read_cube_header(args.cube)
-    _check_outputs([args.model, args.cube, header.payload],
-                   [args.out] + ([args.map_out, args.map_out + ".json"] if args.map_out else []))
+    _check_outputs([args.model, args.cube, header.payload], _map_outputs(args.map_out, args.out))
     model = mlp.load_model(args.model)
-    scores = indexes.IndexMap(resample.map_cube_rows(
-        header, lambda block: mlp.predict_map(model, block).values))
-    raster_io.write_mask(indexes.threshold_map(scores, args.threshold), args.out)
-    if args.map_out:
-        raster_io.write_float_raster(scores.values, args.map_out)
+    raster_io.write_map(
+        resample.map_cube_rows(header, lambda block: mlp.predict_map(model, block).values),
+        header.rows, header.cols, args.map_out or None, args.out, args.threshold)
 
 
 def _cmd_eval(args) -> None:

@@ -34,23 +34,21 @@ class ConfusionMatrix:
 
 def _as_labels(x) -> np.ndarray:
     if isinstance(x, LabelMask):
-        return x.labels.reshape(-1)
+        return x.labels
     arr = np.asarray(x)
     check_labels(arr)
-    return arr.reshape(-1)
+    return arr
 
 
 def confusion(predicted, truth) -> ConfusionMatrix:
+    """Counts of two masks of one shape (one size is not enough)."""
     p = _as_labels(predicted)
     t = _as_labels(truth)
     if p.shape != t.shape:
-        raise ValueError(f"size mismatch: predicted {p.size}, truth {t.size}")
-    return ConfusionMatrix(
-        tn=int(((p == 0) & (t == 0)).sum()),
-        fp=int(((p == 1) & (t == 0)).sum()),
-        fn=int(((p == 0) & (t == 1)).sum()),
-        tp=int(((p == 1) & (t == 1)).sum()),
-    )
+        raise ValueError(f"size mismatch: predicted {'x'.join(map(str, p.shape))}, "
+                         f"truth {'x'.join(map(str, t.shape))}")
+    n_p, n_t, tp = (int(np.count_nonzero(a)) for a in (p, t, np.logical_and(p, t)))
+    return ConfusionMatrix(tn=p.size - n_p - n_t + tp, fp=n_p - tp, fn=n_t - tp, tp=tp)
 
 
 def metrics(m: ConfusionMatrix) -> dict:

@@ -32,14 +32,6 @@ class IndexMap:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 def normalized_difference(a, b):
     """(a - b) / (a + b) elementwise; 0 where a + b = 0 so all-dark pixels

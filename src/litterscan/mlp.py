@@ -274,7 +274,7 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
 
 def predict_map(model: MlpModel, cube: AlignedCube) -> IndexMap:
     """Per-pixel normalize + forward: the network's output, in (0, 1), for
-    every pixel; `indexes.threshold_map` turns it into a mask."""
+    every pixel; `raster_io.write_map` thresholds it into a mask."""
     if cube.band_ids != model.band_order:
         raise ValueError(
             f"cube bands {cube.band_ids} do not match model bands {model.band_order}"

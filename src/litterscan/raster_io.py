@@ -9,17 +9,19 @@ Formats:
   * float raster -- raw row-major 32-bit little-endian floats, with a JSON
     sidecar ``{"rows": ..., "cols": ...}`` at ``<path>.json``.
 
-Every file is written by `atomic_write`, in row blocks, to a temp file in
-the target directory that is renamed into place only when complete, so a
-failed write never leaves a partial artifact. Files honour the umask.
+Files are written in row blocks to temp files in the target directory that
+are renamed into place only when all of one write's files are complete, so a
+failed write never leaves a partial artifact. `write_map` writes an index or
+score map and/or its mask in one pass as its blocks are computed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,9 +29,44 @@ from .bands import BandSpec, canonical_index
 
 
 # Pixels per row block (one row when a row is wider): the most of a raster
-# that `atomic_write` converts at once, that `resample.map_cube_rows` reads
-# at once and that `resample.StackAlignment` resamples at once.
+# that is read, resampled or converted for writing at once.
 ROW_BLOCK_PIXELS = 1 << 16
+
+
+def row_ranges(rows: int, cols: int) -> Iterator[tuple[int, int]]:
+    """(r0, r1) of each row block of a rows x cols raster, in order."""
+    step = max(1, ROW_BLOCK_PIXELS // cols)
+    return ((r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
+
+
+def _write(files: dict[str, tuple[bytes, Callable]], values) -> None:
+    """Write each file's header, then each row block of `values` (an array
+    or an iterable of blocks) as the file's encoder makes it, to temp files
+    that are renamed into place only when all are complete: a failure leaves
+    none of them. An OS error names the output, not its temp file."""
+    blocks = values if not isinstance(values, np.ndarray) else (
+        values[r0:r1] for r0, r1 in row_ranges(*values.shape[:2]))
+    paths = tuple(files)
+    tmps = tuple(os.path.join(os.path.dirname(p), f".tmp-{os.urandom(8).hex()}~") for p in paths)
+    outs, renamed = [], 0
+    try:
+        with contextlib.ExitStack() as stack:
+            for tmp, (header, _) in zip(tmps, files.values()):
+                outs.append(stack.enter_context(open(tmp, "xb")))  # 0o666 less the umask
+                outs[-1].write(header)
+            for block in blocks:
+                for out, (_, encode) in zip(outs, files.values()):
+                    out.write(encode(block))
+                del block  # not held while the next block is built
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+            renamed += 1
+    except BaseException as e:
+        for leftover in paths[:renamed] + tmps[renamed:len(outs)]:
+            os.unlink(leftover)
+        if isinstance(e, OSError) and e.filename in tmps:
+            raise OSError(e.errno, e.strerror, paths[tmps.index(e.filename)]) from None
+        raise
 
 
 def atomic_write(path: str | os.PathLike, header: bytes,
@@ -37,23 +74,24 @@ def atomic_write(path: str | os.PathLike, header: bytes,
     """Write `header`, then `values` in row-major order as `dtype`, to `path`.
     `values` is an array, converted one row block at a time, or an iterable
     of row blocks, each converted as it comes."""
-    path = os.fspath(path)
-    blocks = values
-    if isinstance(values, np.ndarray):
-        step = max(1, ROW_BLOCK_PIXELS // values.shape[1])
-        blocks = (values[r0:r0 + step] for r0 in range(0, len(values), step))
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(header)
-            for block in blocks:
-                f.write(np.ascontiguousarray(block, dtype=dtype))
-                del block  # not held while the next block is built
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write({os.fspath(path): (header, lambda b: np.ascontiguousarray(b, dtype=dtype))}, values)
+
+
+def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
+              raster=None, mask=None, threshold: float | None = None) -> None:
+    """Write a rows x cols map of finite values, an array or its row blocks,
+    in one pass: as a float raster at path `raster`, with its sidecar, and/or
+    as a PGM mask at path `mask` of the pixels >= `threshold`, or of the map
+    itself as {0, 1} labels when `threshold` is None."""
+    files = {}
+    if raster is not None:
+        files[os.fspath(raster)] = (b"", lambda b: np.ascontiguousarray(b, dtype="<f4"))
+        sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
+        files[os.fspath(raster) + ".json"] = (sidecar, lambda b: b"")  # header only
+    if mask is not None:
+        files[os.fspath(mask)] = (f"P5\n{cols} {rows}\n255\n".encode("ascii"), lambda b: (
+            b if threshold is None else b >= threshold) * np.uint8(255))
+    _write(files, blocks)
 
 
 def write_json(path: str | os.PathLike, doc) -> None:
@@ -300,8 +338,7 @@ def read_mask(path: str | os.PathLike) -> LabelMask:
 
 
 def write_mask(mask: LabelMask, path: str | os.PathLike) -> None:
-    atomic_write(path, f"P5\n{mask.cols} {mask.rows}\n255\n".encode("ascii"),
-                 mask.labels * np.uint8(255), "u1")
+    write_map(mask.labels, mask.rows, mask.cols, mask=path)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +351,7 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
         raise ValueError("values must be a non-empty 2-D grid")
     if not np.isfinite(values).all():
         raise ValueError("float raster values must be finite")
-    rows, cols = values.shape
-    atomic_write(path, b"", values, "<f4")
-    atomic_write(os.fspath(path) + ".json", json.dumps({"rows": rows, "cols": cols}).encode())
+    write_map(values, *values.shape, raster=path)
 
 
 def read_float_raster(path: str | os.PathLike) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Lanczos3 band alignment onto the finest grid.
+"""Lanczos3 band alignment onto the finest grid, and the cube container,
+which is written (`StackAlignment.blocks`) and read (`map_cube_rows`) in row blocks.
 
 Conventions (these make constant images constant and keep the grids
 concentric):
@@ -16,8 +17,8 @@ from typing import BinaryIO, Callable, Iterator
 import numpy as np
 
 from .bands import check_band_ids
-from .raster_io import (ROW_BLOCK_PIXELS, Band, BandStack, atomic_write, check_payload_size,
-                        read_dims, read_json_object, write_json)
+from .raster_io import (Band, BandStack, atomic_write, check_payload_size, read_dims,
+                        read_json_object, row_ranges, write_json)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
 
@@ -146,11 +147,9 @@ class StackAlignment:
         return AlignedCube(self.band_ids, values)
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The aligned values in row blocks of at most ROW_BLOCK_PIXELS
-        pixels (one row when a row is wider)."""
-        step = max(1, ROW_BLOCK_PIXELS // self.cols)
-        for r0 in range(0, self.rows, step):
-            yield self.rows_block(r0, min(r0 + step, self.rows)).values
+        """The aligned values in row blocks (`raster_io.row_ranges`)."""
+        for r0, r1 in row_ranges(self.rows, self.cols):
+            yield self.rows_block(r0, r1).values
 
 
 def align_stack(stack: BandStack) -> AlignedCube:
@@ -227,17 +226,10 @@ def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
 
 
 def map_cube_rows(header: CubeHeader,
-                  fn: Callable[[AlignedCube], np.ndarray]) -> np.ndarray:
-    """fn applied to each row block of the cube, assembled into one
-    (rows, cols) array; fn maps a (n, cols) block to an (n, cols) result.
-    Only one block of the cube is in memory at a time."""
-    block_rows = max(1, ROW_BLOCK_PIXELS // header.cols)
-    out = None
+                  fn: Callable[[AlignedCube], np.ndarray]) -> Iterator[np.ndarray]:
+    """fn applied to each row block of the cube (`raster_io.row_ranges`), in
+    order: fn maps a block of n rows to an (n, cols) result. Only one block
+    of the cube is in memory at a time."""
     with open(header.payload, "rb") as f:
-        for r0 in range(0, header.rows, block_rows):
-            n = min(block_rows, header.rows - r0)
-            result = fn(_read_rows(f, header, n))
-            if out is None:
-                out = np.empty((header.rows, header.cols), dtype=result.dtype)
-            out[r0:r0 + n] = result
-    return out
+        for r0, r1 in row_ranges(header.rows, header.cols):
+            yield fn(_read_rows(f, header, r1 - r0))

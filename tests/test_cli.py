@@ -8,7 +8,8 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import BandStack, read_float_raster, read_mask, save_stack
+from litterscan.raster_io import (BandStack, LabelMask, read_float_raster, read_mask,
+                                 save_stack, write_mask)
 from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
 
@@ -316,7 +317,7 @@ def test_import_rejects_malformed_pgm(tmp_path, capsys, case):
 
 
 def tree_bytes(directory):
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return {p.name: p.read_bytes() if p.is_file() else None for p in sorted(directory.iterdir())}
 
 
 # Each case: argv under tmp_path (holding the 40² scene, model.json and a
@@ -387,3 +388,50 @@ def test_output_path_clash_is_rejected(tmp_path, scene, model_path, monkeypatch,
     assert err.startswith(f"litterscan {argv[0]}: output ") and err.count("\n") == 1, err
     assert mentions in err
     assert tree_bytes(tmp_path) == before
+
+
+# Each case: argv under tmp_path (the 40² scene and model.json), and the
+# output that cannot be written: a path in a missing directory, or a
+# directory. The other outputs are written, or renamed into place, first.
+UNWRITABLE_OUTPUTS = {
+    "predict_map_out_in_missing_dir": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "p.pgm", "--map-out", "missing/s.f32"], "missing/s.f32"),
+    "predict_out_in_missing_dir": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "missing/p.pgm", "--map-out", "s.f32"], "missing/p.pgm"),
+    "predict_out_is_a_directory": (
+        ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+         "--out", "adir", "--map-out", "s.f32"], "adir"),
+    "index_mask_out_in_missing_dir": (
+        ["index", "--cube", "scene.cube.json", "--method", "fdi", "--out", "f.f32",
+         "--threshold", "0", "--mask-out", "missing/f.pgm"], "missing/f.pgm"),
+    "index_out_in_missing_dir": (
+        ["index", "--cube", "scene.cube.json", "--method", "fdi", "--out", "missing/f.f32",
+         "--threshold", "0", "--mask-out", "f.pgm"], "missing/f.f32"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_leaves_no_file(tmp_path, scene, model_path, monkeypatch, capsys,
+                                          case):
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = tree_bytes(tmp_path)
+    argv, culprit = UNWRITABLE_OUTPUTS[case]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"litterscan {argv[0]}: ") and err.count("\n") == 1, err
+    assert err.endswith(f": '{culprit}'\n"), err  # the output asked for, not a temp file
+    assert tree_bytes(tmp_path) == before
+
+
+def test_eval_rejects_masks_on_different_grids(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.pgm", tmp_path / "truth.pgm"
+    write_mask(LabelMask(np.eye(8, 2, dtype=np.uint8)), pred)  # 8 rows, 2 columns
+    write_mask(LabelMask(np.eye(4, dtype=np.uint8)), truth)
+    out = tmp_path / "metrics.json"
+    assert run("eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "litterscan eval: size mismatch: predicted 8x2, truth 4x4\n")
+    assert not out.exists()

@@ -45,6 +45,9 @@ def test_confusion_accepts_masks():
 def test_confusion_size_mismatch():
     with pytest.raises(ValueError, match="size mismatch"):
         confusion([0, 1], [0, 1, 0])
+    # the same pixel count on different grids
+    with pytest.raises(ValueError, match="size mismatch: predicted 8x2, truth 4x4"):
+        confusion(np.zeros((8, 2), dtype=np.uint8), LabelMask(np.zeros((4, 4), dtype=np.uint8)))
 
 
 def test_swap_transposes():

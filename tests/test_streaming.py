@@ -1,9 +1,10 @@
-"""`predict` and `index` read the cube in row blocks: the artifacts do not
-depend on the block size, a bad value in the last block leaves no output,
-and memory stays below the size of the cube's payload. Masks are checked and
-thresholded once, in a few bytes per pixel. `resample` builds and writes the
-cube in row blocks: its bytes do not depend on the block size and it holds
-the stack plus one block; `align_stack` holds one float64 cube."""
+"""`predict` and `index` read the cube in row blocks and write each block's
+result as it is computed: the artifacts do not depend on the block size, a
+bad value in the last block leaves no output, no map larger than one block
+is built, and memory stays below 1 B per pixel with one-row blocks.
+`resample` builds and writes the cube in row blocks: its bytes do not depend
+on the block size and it holds the stack plus one block; `align_stack`
+holds one float64 cube."""
 
 import json
 import tracemalloc
@@ -16,6 +17,7 @@ from litterscan import raster_io, resample
 from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
+from litterscan.indexes import IndexMap
 from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import BandStack, LabelMask, write_mask
 
@@ -81,7 +83,7 @@ def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixe
         return read_rows(f, header, n_rows)
 
     monkeypatch.setattr(resample, "_read_rows", recording_read_rows)
-    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", block_pixels)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
     assert artifacts(cube, model, tmp_path / "blocked") == whole
     per_block = max(1, block_pixels // COLS)
     full, ragged = divmod(ROWS, per_block)
@@ -94,7 +96,7 @@ def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, cap
     payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4")
     payload[-1] = np.nan
     payload.tofile(tmp_path / "cube.f32")
-    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", COLS)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)
     out = tmp_path / "out"
     out.mkdir()
     for argv in commands(cube, model, out):
@@ -103,20 +105,22 @@ def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, cap
     assert list(out.iterdir()) == []
 
 
-def test_predict_builds_one_label_mask(tmp_path, monkeypatch):
+def test_no_map_larger_than_one_block_is_built(tmp_path, monkeypatch):
     cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
-    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", COLS)
-    built = []
-    post_init = LabelMask.__post_init__
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)  # one-row blocks
+    sizes = []
+    for cls, field in ((LabelMask, "labels"), (IndexMap, "values")):
+        def recording_post_init(self, post_init=cls.__post_init__, field=field):
+            sizes.append(np.asarray(getattr(self, field)).size)
+            post_init(self)
 
-    def counting_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(LabelMask, "__post_init__", counting_post_init)
-    assert main(["predict", "--model", str(model), "--cube", str(cube),
-                 "--out", str(tmp_path / "pred.pgm")]) == 0
-    assert len(built) == 1
+        monkeypatch.setattr(cls, "__post_init__", recording_post_init)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in commands(cube, model, out):
+        sizes.clear()
+        assert main(argv) == 0, argv
+        assert sizes and max(sizes) == COLS, (argv, max(sizes))
 
 
 def traced_peak(argv):
@@ -148,11 +152,31 @@ def test_streamed_steps_use_less_memory_than_the_cube_payload(tmp_path):
         {name: f"{peak / payload_bytes:.2f}x payload" for name, peak in peaks.items()})
 
 
+def test_map_steps_hold_less_than_a_byte_per_pixel(tmp_path, monkeypatch):
+    rows = cols = 1000
+    cube, model = write_cube(tmp_path, rows, cols), write_model(tmp_path)
+    # one-row blocks, so the peak is what grows with the map, not a block
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", cols)
+    steps = {
+        "predict --map-out": ["predict", "--model", str(model), "--cube", str(cube),
+                              "--out", str(tmp_path / "pred.pgm"),
+                              "--map-out", str(tmp_path / "s.f32")],
+        "index fdi --threshold": ["index", "--cube", str(cube), "--method", "fdi",
+                                  "--out", str(tmp_path / "fdi.f32"), "--threshold", "0",
+                                  "--mask-out", str(tmp_path / "fdi.pgm")],
+        "index combined": ["index", "--cube", str(cube), "--method", "combined",
+                           "--ndvi-max", "0.1", "--fdi-min", "0",
+                           "--out", str(tmp_path / "combined.pgm")],
+    }
+    per_pixel = {name: traced_peak(argv) / (rows * cols) for name, argv in steps.items()}
+    assert all(b < 1 for b in per_pixel.values()), per_pixel
+
+
 def test_mask_steps_hold_a_few_bytes_per_mask_pixel(tmp_path, monkeypatch):
     rows = cols = 1000
     cube = write_cube(tmp_path, rows, cols)
     # one-row blocks, so the peak is the mask's and not a block's
-    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", cols)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", cols)
     rng = np.random.default_rng(1)
     for name in ("a.pgm", "b.pgm"):
         write_mask(LabelMask(rng.random((rows, cols)) < 0.5), tmp_path / name)
@@ -224,9 +248,7 @@ def test_resample_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, name,
 
     block_pixels = block_rows * size + extra_pixels
     monkeypatch.setattr(resample.StackAlignment, "rows_block", recording_rows_block)
-    # the writer's and the resampler's block sizes, both
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
-    monkeypatch.setattr(resample, "ROW_BLOCK_PIXELS", block_pixels)
     assert resample_artifacts(tmp_path / "blocked", name) == whole
     per_block = max(1, block_rows)
     full, ragged = divmod(size, per_block)
