@@ -67,6 +67,9 @@ class Normalizer:
         if not (lo < hi).all():
             bad = [i for i in range(N_FEATURES) if lo[i] >= hi[i]]
             raise ValueError(f"degenerate band(s) at index {bad}: min >= max")
+        with np.errstate(over="ignore"):  # an overflowing span is rejected, not warned about
+            if not np.isfinite(hi - lo).all():
+                raise ValueError("normalizer max - min must be finite")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "minimum", lo)

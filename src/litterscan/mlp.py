@@ -3,9 +3,15 @@ mean-squared-error loss, exact backprop gradients, and a Polak-Ribiere+
 conjugate-gradient trainer with Armijo backtracking and validation-based
 early stopping.
 
+One objective, `_objective`, evaluates a flat weight vector: one forward pass
+gives the loss, and the gradient is backpropagated from its activations.
+`loss`, `gradient` and every line-search probe use it, so training spends one
+forward pass per weight vector it evaluates and builds no model per probe.
+
 The optimizer's constants are fixed (Nocedal & Wright, Numerical Optimization,
 sections 3.1 and 5.2): CG restarts every N_PARAMS iterations; Armijo search
-starts at step 1, halves it on rejection and uses sufficient-decrease c = 1e-4.
+starts at step 1, halves it on rejection and uses sufficient-decrease c = 1e-4;
+training stops when the gradient norm falls below GRAD_TOL.
 
 Flat weight layout (151 = 14*10 + 11): the 10x14 hidden matrix row-major
 (columns 0..12 input weights, column 13 bias), then the 11 output weights
@@ -36,6 +42,7 @@ CG_RESTART_EVERY = N_PARAMS
 ARMIJO_INITIAL_STEP = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_C = 1e-4
+GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,12 +72,12 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Stopping rules of `train`. The PR+ restart period and the Armijo
-    constants are fixed: see CG_RESTART_EVERY and ARMIJO_*."""
+    """Stopping rules of `train`. The PR+ restart period, the Armijo
+    constants and the gradient tolerance are fixed: see CG_RESTART_EVERY,
+    ARMIJO_* and GRAD_TOL."""
 
     max_iters: int = 1000
     max_val_failures: int = 6
-    grad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -108,13 +115,17 @@ def flatten_weights(model: MlpModel) -> np.ndarray:
     return np.concatenate([model.w_hidden.reshape(-1), model.w_output])
 
 
+def _layers(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a flat weight vector: hidden (10, 14) and output (11,) weights."""
+    n_h = N_HIDDEN * (N_FEATURES + 1)
+    return flat[:n_h].reshape(N_HIDDEN, N_FEATURES + 1), flat[n_h:]
+
+
 def with_weights(model: MlpModel, flat: np.ndarray) -> MlpModel:
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != (N_PARAMS,):
         raise ValueError(f"expected {N_PARAMS} weights, got {flat.shape}")
-    n_h = N_HIDDEN * (N_FEATURES + 1)
-    return MlpModel(flat[:n_h].reshape(N_HIDDEN, N_FEATURES + 1), flat[n_h:],
-                    model.normalizer, model.band_order)
+    return MlpModel(*_layers(flat), model.normalizer, model.band_order)
 
 
 _TINY = np.nextafter(0.0, 1.0)
@@ -129,15 +140,15 @@ def _logistic(z):
     return np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), _TINY, _ALMOST_ONE)
 
 
-def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, 13) float64 inputs -> hidden activations (n, 10), outputs (n,)."""
-    h = np.tanh(x @ model.w_hidden[:, :N_FEATURES].T + model.w_hidden[:, N_FEATURES])
-    return h, _logistic(h @ model.w_output[:N_HIDDEN] + model.w_output[N_HIDDEN])
+    h = np.tanh(x @ wh[:, :N_FEATURES].T + wh[:, N_FEATURES])
+    return h, _logistic(h @ wo[:N_HIDDEN] + wo[N_HIDDEN])
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """x: (n, 13) normalized features -> (n,) outputs in (0, 1)."""
-    return _forward(model, np.asarray(x, dtype=np.float64))[1]
+    return _forward(model.w_hidden, model.w_output, np.asarray(x, dtype=np.float64))[1]
 
 
 def forward(model: MlpModel, x) -> float:
@@ -149,33 +160,34 @@ def forward(model: MlpModel, x) -> float:
     return float(forward_batch(model, x[None, :])[0])
 
 
+def _objective(flat: np.ndarray, samples: SampleSet):
+    """MSE of the weights `flat` against 0/1 targets, and a function giving its
+    exact gradient, in flat layout order, by backprop through the same pass."""
+    if len(samples) == 0:
+        raise ValueError("cannot evaluate the network on an empty sample set")
+    wh, wo = _layers(flat)
+    x = samples.features
+    h, y = _forward(wh, wo, x)
+    e = y - samples.labels.astype(np.float64)
+
+    def grad() -> np.ndarray:
+        dz_out = (2.0 / x.shape[0]) * e * y * (1.0 - y)        # dL/dz_out, (n,)
+        g_wo = np.concatenate([dz_out @ h, [dz_out.sum()]])    # (11,)
+        dz_h = np.outer(dz_out, wo[:N_HIDDEN]) * (1.0 - h * h)  # (n, 10)
+        g_wh = np.concatenate([dz_h.T @ x, dz_h.sum(axis=0)[:, None]], axis=1)  # (10, 14)
+        return np.concatenate([g_wh.reshape(-1), g_wo])
+
+    return float(np.mean(e * e)), grad
+
+
 def loss(model: MlpModel, samples: SampleSet) -> float:
     """Mean squared error against 0/1 targets."""
-    if len(samples) == 0:
-        raise ValueError("loss of an empty sample set")
-    y = forward_batch(model, samples.features)
-    e = y - samples.labels.astype(np.float64)
-    return float(np.mean(e * e))
+    return _objective(flatten_weights(model), samples)[0]
 
 
 def gradient(model: MlpModel, samples: SampleSet) -> np.ndarray:
     """Exact MSE gradient via backprop, in flat layout order."""
-    if len(samples) == 0:
-        raise ValueError("gradient of an empty sample set")
-    x = samples.features
-    t = samples.labels.astype(np.float64)
-    n = x.shape[0]
-    h, y = _forward(model, x)
-
-    # dL/dz_out = 2/n * (y - t) * y * (1 - y)
-    dz_out = (2.0 / n) * (y - t) * y * (1.0 - y)          # (n,)
-    g_wo = np.concatenate([dz_out @ h, [dz_out.sum()]])    # (11,)
-
-    dh = np.outer(dz_out, model.w_output[:N_HIDDEN])       # (n, 10)
-    dz_h = dh * (1.0 - h * h)                              # (n, 10)
-    g_wh = np.concatenate([dz_h.T @ x, dz_h.sum(axis=0)[:, None]], axis=1)  # (10, 14)
-
-    return np.concatenate([g_wh.reshape(-1), g_wo])
+    return _objective(flatten_weights(model), samples)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +206,21 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be nonempty")
 
-    def f(wv):
-        return loss(with_weights(model, wv), train_set)
-
-    def fval(wv):
-        return loss(with_weights(model, wv), val_set)
-
     w = flatten_weights(model)
-    f_w = f(w)
-    g = gradient(model, train_set)
+    f_w, grad = _objective(w, train_set)
+    g = grad()
     d = -g
 
-    best_w = w.copy()
-    best_val = fval(w)
+    best_w, best_train, best_val = w, f_w, loss(model, val_set)
     history: list[tuple[int, float, float]] = [(0, f_w, best_val)]
     failures = 0
     stop_reason = "max_iters"
-    iters = 0
 
     for k in range(1, cfg.max_iters + 1):
         if not math.isfinite(f_w):
             raise ArithmeticError(f"training diverged: loss = {f_w} at iteration {k}")
         gnorm = float(np.linalg.norm(g))
-        if gnorm < cfg.grad_tol:
+        if gnorm < GRAD_TOL:
             stop_reason = "gradient_converged"
             break
 
@@ -228,7 +232,8 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
         # Armijo backtracking
         alpha = ARMIJO_INITIAL_STEP
         for _ in range(60):
-            f_new = f(w + alpha * d)
+            w_new = w + alpha * d
+            f_new, grad = _objective(w_new, train_set)
             if math.isfinite(f_new) and f_new <= f_w + ARMIJO_C * alpha * slope:
                 break
             alpha *= ARMIJO_SHRINK
@@ -239,18 +244,15 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
             d = -g  # retry from steepest descent next iteration
             continue
 
-        w_new = w + alpha * d
-        g_new = gradient(with_weights(model, w_new), train_set)
+        g_new = grad()
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
         d = -g_new + beta * d
         w, g, f_w = w_new, g_new, f_new
-        iters = k
 
-        v = fval(w)
+        v = loss(with_weights(model, w), val_set)
         history.append((k, f_w, v))
         if v < best_val:
-            best_val = v
-            best_w = w.copy()
+            best_w, best_train, best_val = w, f_w, v
             failures = 0
         else:
             failures += 1
@@ -258,15 +260,10 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
                 stop_reason = "val_early_stop"
                 break
 
-    final = with_weights(model, best_w)
-    report = TrainReport(
-        iterations_run=iters,
-        final_train_loss=float(loss(final, train_set)),
-        final_val_loss=float(best_val),
-        stop_reason=stop_reason,
-        loss_history=tuple(history),
-    )
-    return final, report
+    report = TrainReport(iterations_run=history[-1][0], final_train_loss=best_train,
+                         final_val_loss=best_val, stop_reason=stop_reason,
+                         loss_history=tuple(history))
+    return with_weights(model, best_w), report
 
 
 # ---------------------------------------------------------------------------

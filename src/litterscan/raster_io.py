@@ -99,12 +99,16 @@ def write_json(path: str | os.PathLike, doc) -> None:
     atomic_write(path, json.dumps(doc, indent=2).encode())
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json_object(path: str | os.PathLike, what: str) -> dict:
-    """Parse a UTF-8 JSON file that must hold an object."""
+    """Parse a UTF-8 JSON file that must hold an object; NaN and Infinity are not JSON."""
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            doc = json.load(f, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, deep nesting
             raise ValueError(f"malformed {what} {path}: {e}") from None
     if not isinstance(doc, dict):

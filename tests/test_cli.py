@@ -180,11 +180,15 @@ MALFORMED_MODELS = {
                                                               doc["weights_output"]]},
     "normalizer_bools": lambda doc: {**doc, "normalizer": {**doc["normalizer"],
                                                            "min": [False] * 13}},
+    "normalizer_infinity": lambda doc: {**doc, "normalizer": {**doc["normalizer"],
+                                                              "max": [float("inf")] * 13}},
+    "normalizer_span_overflow": lambda doc: {**doc, "normalizer": {"min": [-1e308] * 13,
+                                                                   "max": [1e308] * 13}},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
-def test_predict_rejects_malformed_model(tmp_path, scene, model_path, capsys, case):
+def test_predict_rejects_malformed_model(tmp_path, scene, model_path, capsys, recwarn, case):
     cube_path, _ = scene
     doc = MALFORMED_MODELS[case](json.loads(model_path.read_text()))
     model_path.write_text(json.dumps(doc))
@@ -195,6 +199,7 @@ def test_predict_rejects_malformed_model(tmp_path, scene, model_path, capsys, ca
     assert err.startswith("litterscan predict: ")
     assert err.count("\n") == 1
     assert not pred.exists()
+    assert not recwarn.list  # warnings bypass capsys
 
 
 def test_predict_rejects_nan_threshold(tmp_path, scene, model_path, capsys):
@@ -269,6 +274,8 @@ MALFORMED_STACKS = {
     "wavelength_bool": lambda doc: {**doc, "bands": [{**doc["bands"][0],
                                                       "wavelength_nm": True}]},
     "gsd_string": lambda doc: {**doc, "bands": [{**doc["bands"][0], "native_gsd_m": "10"}]},
+    "wavelength_infinity": lambda doc: {**doc, "bands": [{**doc["bands"][0],
+                                                          "wavelength_nm": float("inf")}]},
 }
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from litterscan import mlp
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import Normalizer, SampleSet
 from litterscan.indexes import threshold_map
@@ -164,7 +165,7 @@ def test_gradient_zero_at_stationary_point():
 def test_gradient_small_at_fitted_minimum():
     s = xor_set()
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
-    cfg = TrainConfig(max_iters=3000, max_val_failures=10**9, grad_tol=1e-8)
+    cfg = TrainConfig(max_iters=3000, max_val_failures=10**9)
     fitted, report = train(m, s, s, cfg)
     assert np.linalg.norm(gradient(fitted, s)) < 1e-3
     assert report.final_train_loss < 0.01
@@ -190,6 +191,31 @@ def test_train_deterministic():
         out, _ = train(m, s, v, TrainConfig(max_iters=50))
         runs.append(flatten_weights(out))
     assert np.array_equal(runs[0], runs[1])
+
+
+def test_one_forward_pass_per_evaluated_weight_vector(monkeypatch):
+    # with no backtracking, k accepted steps evaluate k + 1 weight vectors
+    # on the train set and k + 1 on the validation set
+    s, v = random_set(40, 1), random_set(10, 2)
+    m = init_model(3, UNIT_NORM, CANONICAL_ORDER)
+    passes, models = [0], [0]
+    forward_impl, post_init = mlp._forward, MlpModel.__post_init__
+
+    def counting_forward(*args):
+        passes[0] += 1
+        return forward_impl(*args)
+
+    def counting_post_init(self):
+        models[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(mlp, "_forward", counting_forward)
+    monkeypatch.setattr(MlpModel, "__post_init__", counting_post_init)
+    _, report = train(m, s, v, TrainConfig(max_iters=5, max_val_failures=10**9))
+    k = report.iterations_run
+    assert (k, report.stop_reason) == (5, "max_iters")
+    assert passes[0] == 2 * k + 2
+    assert models[0] <= k + 2
 
 
 def test_train_loss_non_increasing():
