@@ -15,7 +15,6 @@ from .dataset import (
 )
 from .evaluation import ConfusionMatrix, confusion, metrics
 from .indexes import (
-    IndexMap,
     b8b9_index,
     combined_index_mask,
     fdi,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -143,20 +144,20 @@ def _cmd_index(args) -> None:
         raise ValueError("--mask-out needs --threshold")
     if combined and (args.ndvi_max is None or args.fdi_min is None):
         raise ValueError("combined method needs --ndvi-max and --fdi-min")
-    if args.threshold is not None:
-        indexes.check_threshold(args.threshold)
+    indexes.check_threshold(*[t for t in (args.threshold, args.ndvi_max, args.fdi_min)
+                              if t is not None])
     header = resample.read_cube_header(args.cube)
     if combined:
         raster, mask = None, args.out
-        blocks = resample.map_cube_rows(header, lambda block: indexes.combined_index_mask(
-            block, args.ndvi_max, args.fdi_min).labels)
+        index = functools.partial(indexes.combined_index_mask,
+                                  ndvi_max=args.ndvi_max, fdi_min=args.fdi_min)
     else:
         index = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[args.method]
         raster = args.out
         mask = None if args.threshold is None else args.mask_out or args.out + ".mask.pgm"
-        blocks = resample.map_cube_rows(header, lambda block: index(block).values)
     _check_outputs([args.cube, header.payload], _map_outputs(raster, mask))
-    raster_io.write_map(blocks, header.rows, header.cols, raster, mask, args.threshold)
+    raster_io.write_map(resample.map_cube_rows(header, index), header.rows, header.cols,
+                        raster, mask, args.threshold)
 
 
 def _cmd_train(args) -> None:
@@ -201,7 +202,7 @@ def _cmd_predict(args) -> None:
     _check_outputs([args.model, args.cube, header.payload], _map_outputs(args.map_out, args.out))
     model = mlp.load_model(args.model)
     raster_io.write_map(
-        resample.map_cube_rows(header, lambda block: mlp.predict_map(model, block).values),
+        resample.map_cube_rows(header, functools.partial(mlp.predict_map, model)),
         header.rows, header.cols, args.map_out or None, args.out, args.threshold)
 
 

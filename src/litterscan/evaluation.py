@@ -53,12 +53,13 @@ def confusion(predicted, truth) -> ConfusionMatrix:
 
 def metrics(m: ConfusionMatrix) -> dict:
     """Accuracy, error rate, per-target-class recall, per-output-class
-    precision, and cell shares of the total."""
+    precision, and cell shares of the total. A rate whose denominator is 0
+    is None."""
     total = m.total
     acc = (m.tn + m.tp) / total
 
     def _rate(num, den):
-        return num / den if den > 0 else float("nan")
+        return num / den if den > 0 else None
 
     recall = [_rate(m.tn, m.tn + m.fp), _rate(m.tp, m.tp + m.fn)]
     precision = [_rate(m.tn, m.tn + m.fn), _rate(m.tp, m.tp + m.fp)]
@@ -84,7 +85,7 @@ def format_report(m: ConfusionMatrix) -> str:
     r = metrics(m)
 
     def pct(x):
-        return f"{100.0 * x:5.1f}%"
+        return "   n/a" if x is None else f"{100.0 * x:5.1f}%"
 
     cp = r["cell_percent"]
     lines = [

@@ -1,14 +1,12 @@
 """Normalized-difference index maps, the floating-debris index, and
-threshold masks."""
+threshold masks. A map is a (rows, cols) float64 array and a mask a bool
+array, on the grid of the cube (or cube block) they are computed from."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import SENTINEL2_BANDS
-from .raster_io import LabelMask
 from .resample import AlignedCube
 
 # 10 * (lambda_B8 - lambda_B4) / (lambda_B11 - lambda_B4), center wavelengths
@@ -17,20 +15,6 @@ FDI_WAVELENGTH_FACTOR = 10.0 * (
     (SENTINEL2_BANDS["B8"].wavelength_nm - SENTINEL2_BANDS["B4"].wavelength_nm)
     / (SENTINEL2_BANDS["B11"].wavelength_nm - SENTINEL2_BANDS["B4"].wavelength_nm)
 )
-
-
-@dataclass(frozen=True)
-class IndexMap:
-    values: np.ndarray  # (rows, cols) float64, finite
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError("index map must be a non-empty 2-D grid")
-        if not np.isfinite(v).all():
-            raise ValueError("index map values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def normalized_difference(a, b):
@@ -50,38 +34,38 @@ def normalized_difference(a, b):
     return out
 
 
-def b8b9_index(cube: AlignedCube) -> IndexMap:
+def b8b9_index(cube: AlignedCube) -> np.ndarray:
     """(B8 - B9) / (B8 + B9)."""
-    return IndexMap(normalized_difference(cube.plane("B8"), cube.plane("B9")))
+    return normalized_difference(cube.plane("B8"), cube.plane("B9"))
 
 
-def ndvi(cube: AlignedCube) -> IndexMap:
+def ndvi(cube: AlignedCube) -> np.ndarray:
     """(B8 - B4) / (B8 + B4): NIR vs red, high over vegetation."""
-    return IndexMap(normalized_difference(cube.plane("B8"), cube.plane("B4")))
+    return normalized_difference(cube.plane("B8"), cube.plane("B4"))
 
 
-def fdi(cube: AlignedCube) -> IndexMap:
+def fdi(cube: AlignedCube) -> np.ndarray:
     """NIR departure from the red-edge -> SWIR baseline:
     B8 - (B6 + (B11 - B6) * FDI_WAVELENGTH_FACTOR)."""
     b6, b8, b11 = cube.plane("B6"), cube.plane("B8"), cube.plane("B11")
     baseline = b6 + (b11 - b6) * FDI_WAVELENGTH_FACTOR
-    return IndexMap(b8 - baseline)
+    return b8 - baseline
 
 
-def check_threshold(t: float) -> None:
-    if not np.isfinite(t):
+def check_threshold(*thresholds: float) -> None:
+    """Raise ValueError unless every threshold given is finite."""
+    if not np.isfinite(thresholds).all():
         raise ValueError("threshold must be finite")
 
 
-def threshold_map(index_map: IndexMap, t: float) -> LabelMask:
-    """1 where value >= t."""
+def threshold_map(values: np.ndarray, t: float) -> np.ndarray:
+    """True where value >= t."""
     check_threshold(t)
-    return LabelMask(index_map.values >= t)
+    return values >= t
 
 
-def combined_index_mask(cube: AlignedCube, ndvi_max: float, fdi_min: float) -> LabelMask:
-    """1 where FDI >= fdi_min and NDVI <= ndvi_max: debris is FDI-bright and
-    not vegetation."""
-    if not (np.isfinite(ndvi_max) and np.isfinite(fdi_min)):
-        raise ValueError("thresholds must be finite")
-    return LabelMask((fdi(cube).values >= fdi_min) & (ndvi(cube).values <= ndvi_max))
+def combined_index_mask(cube: AlignedCube, ndvi_max: float, fdi_min: float) -> np.ndarray:
+    """True where FDI >= fdi_min and NDVI <= ndvi_max: debris is FDI-bright
+    and not vegetation."""
+    check_threshold(ndvi_max, fdi_min)
+    return (fdi(cube) >= fdi_min) & (ndvi(cube) <= ndvi_max)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_FEATURES, Normalizer, SampleSet, apply_normalizer
-from .indexes import IndexMap
 from .raster_io import read_json_object, write_json
 from .resample import AlignedCube
 from .rng import SplitMix64
@@ -269,7 +268,7 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
 # ---------------------------------------------------------------------------
 # inference and serialization
 
-def predict_map(model: MlpModel, cube: AlignedCube) -> IndexMap:
+def predict_map(model: MlpModel, cube: AlignedCube) -> np.ndarray:
     """Per-pixel normalize + forward: the network's output, in (0, 1), for
     every pixel; `raster_io.write_map` thresholds it into a mask."""
     if cube.band_ids != model.band_order:
@@ -277,7 +276,7 @@ def predict_map(model: MlpModel, cube: AlignedCube) -> IndexMap:
             f"cube bands {cube.band_ids} do not match model bands {model.band_order}"
         )
     x = apply_normalizer(model.normalizer, cube.values.reshape(-1, N_FEATURES))
-    return IndexMap(forward_batch(model, x).reshape(cube.rows, cube.cols))
+    return forward_batch(model, x).reshape(cube.rows, cube.cols)
 
 
 def save_model(model: MlpModel, path: str | os.PathLike) -> None:

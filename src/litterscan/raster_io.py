@@ -12,7 +12,8 @@ Formats:
 Files are written in row blocks to temp files in the target directory that
 are renamed into place only when all of one write's files are complete, so a
 failed write never leaves a partial artifact. `write_map` writes an index or
-score map and/or its mask in one pass as its blocks are computed.
+score map and/or its mask in one pass as its blocks are computed, and it is
+where a map's values are checked: a non-finite one fails the write.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ def row_ranges(rows: int, cols: int) -> Iterator[tuple[int, int]]:
     return ((r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
-def _write(files: dict[str, tuple[bytes, Callable]], values) -> None:
+def _write(files: dict[str, tuple[bytes, Callable]], values, finite: bool = False) -> None:
     """Write each file's header, then each row block of `values` (an array
     or an iterable of blocks) as the file's encoder makes it, to temp files
     that are renamed into place only when all are complete: a failure leaves
-    none of them. An OS error names the output, not its temp file."""
+    none of them. With `finite`, a block holding a non-finite value fails.
+    An OS error names the output, not its temp file."""
     blocks = values if not isinstance(values, np.ndarray) else (
         values[r0:r1] for r0, r1 in row_ranges(*values.shape[:2]))
     paths = tuple(files)
@@ -55,6 +57,8 @@ def _write(files: dict[str, tuple[bytes, Callable]], values) -> None:
                 outs.append(stack.enter_context(open(tmp, "xb")))  # 0o666 less the umask
                 outs[-1].write(header)
             for block in blocks:
+                if finite and not np.isfinite(block).all():
+                    raise ValueError("map values must be finite")
                 for out, (_, encode) in zip(outs, files.values()):
                     out.write(encode(block))
                 del block  # not held while the next block is built
@@ -79,10 +83,12 @@ def atomic_write(path: str | os.PathLike, header: bytes,
 
 def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
               raster=None, mask=None, threshold: float | None = None) -> None:
-    """Write a rows x cols map of finite values, an array or its row blocks,
-    in one pass: as a float raster at path `raster`, with its sidecar, and/or
-    as a PGM mask at path `mask` of the pixels >= `threshold`, or of the map
-    itself as {0, 1} labels when `threshold` is None."""
+    """Write a rows x cols map, an array or its row blocks, in one pass: as
+    a float raster at path `raster`, with its sidecar, and/or as a PGM mask
+    at path `mask` of the pixels >= `threshold`, or of the map itself as
+    {0, 1} labels when `threshold` is None. When it writes a raster or
+    applies a threshold, a non-finite value in any block raises ValueError
+    and no file is left."""
     files = {}
     if raster is not None:
         files[os.fspath(raster)] = (b"", lambda b: np.ascontiguousarray(b, dtype="<f4"))
@@ -91,12 +97,13 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
     if mask is not None:
         files[os.fspath(mask)] = (f"P5\n{cols} {rows}\n255\n".encode("ascii"), lambda b: (
             b if threshold is None else b >= threshold) * np.uint8(255))
-    _write(files, blocks)
+    _write(files, blocks, finite=raster is not None or threshold is not None)
 
 
 def write_json(path: str | os.PathLike, doc) -> None:
-    """`doc` as indented JSON: manifests, models, reports and metrics."""
-    atomic_write(path, json.dumps(doc, indent=2).encode())
+    """`doc` as indented JSON: manifests, models, reports and metrics. NaN
+    and Infinity are not JSON: a document holding one raises ValueError."""
+    atomic_write(path, json.dumps(doc, indent=2, allow_nan=False).encode())
 
 
 def _reject_constant(name: str):
@@ -353,8 +360,6 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("values must be a non-empty 2-D grid")
-    if not np.isfinite(values).all():
-        raise ValueError("float raster values must be finite")
     write_map(values, *values.shape, raster=path)
 
 

@@ -139,23 +139,23 @@ class StackAlignment:
                 raise ValueError(f"band {b.spec.id}: grid ratio {ratio} unsupported")
             self._bands.append((b.pixels, _grid_taps(b.pixels.shape, scale)))
 
-    def rows_block(self, r0: int, r1: int) -> AlignedCube:
-        """Output rows r0:r1 of every band, interleaved."""
+    def rows_block(self, r0: int, r1: int) -> np.ndarray:
+        """Output rows r0:r1 of every band, interleaved (finite: interpolated from uint16)."""
         values = np.empty((r1 - r0, self.cols, len(self._bands)))
         for i, (img, taps) in enumerate(self._bands):
             values[:, :, i] = _resample_rows(img, taps, r0, r1)
-        return AlignedCube(self.band_ids, values)
+        return values
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The aligned values in row blocks (`raster_io.row_ranges`)."""
         for r0, r1 in row_ranges(self.rows, self.cols):
-            yield self.rows_block(r0, r1).values
+            yield self.rows_block(r0, r1)
 
 
 def align_stack(stack: BandStack) -> AlignedCube:
     """Resample every band to the finest grid present in the stack."""
     aligned = StackAlignment(stack)
-    return aligned.rows_block(0, aligned.rows)
+    return AlignedCube(aligned.band_ids, aligned.rows_block(0, aligned.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,9 @@ def read_cube_header(manifest_path: str | os.PathLike) -> CubeHeader:
 
 
 def _read_rows(f: BinaryIO, header: CubeHeader, n_rows: int) -> AlignedCube:
-    """The next `n_rows` rows of the open payload `f`, widened to float64."""
+    """The next `n_rows` rows of the open payload `f`, widened to float64.
+    This is where a cube's values are checked: `AlignedCube` rejects a
+    non-finite one."""
     n_bands = len(header.band_ids)
     data = np.fromfile(f, dtype="<f4", count=n_rows * header.cols * n_bands)
     return AlignedCube(header.band_ids,

@@ -181,8 +181,7 @@ def test_criterion_07_index_properties():
                       "B11": np.array([[60.0]])})
     scaled = make_cube({"B6": np.array([[120.0 * k]]), "B8": np.array([[480.0 * k]]),
                         "B11": np.array([[60.0 * k]])})
-    assert fdi(scaled).values[0, 0] == pytest.approx(k * fdi(base).values[0, 0],
-                                                     rel=1e-12)
+    assert fdi(scaled)[0, 0] == pytest.approx(k * fdi(base)[0, 0], rel=1e-12)
     report(7, "antisymmetry, scale invariance and range over 10^6 pairs; "
               "FDI positive homogeneity")
 

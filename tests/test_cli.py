@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import (BandStack, LabelMask, read_float_raster, read_mask,
-                                 save_stack, write_mask)
+from litterscan.raster_io import (BandStack, LabelMask, read_float_raster, read_json_object,
+                                 read_mask, save_stack, write_mask)
 from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
 
@@ -76,6 +77,16 @@ def test_index_combined_missing_flags(tmp_path, scene, capsys):
     assert "ndvi-max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--ndvi-max", "nan", "--fdi-min", "0"],
+                                   ["--ndvi-max", "0.2", "--fdi-min", "inf"]])
+def test_index_checks_combined_thresholds_before_reading_the_cube(tmp_path, capsys, flags):
+    out = tmp_path / "combined.pgm"
+    assert run("index", "--cube", str(tmp_path / "missing.json"), "--method", "combined",
+               "--out", str(out), *flags) == 1
+    assert capsys.readouterr().err == "litterscan index: threshold must be finite\n"
+    assert not out.exists()
+
+
 def test_train_predict_eval_flow(tmp_path, scene):
     cube_path, mask_path = scene
     model = tmp_path / "model.json"
@@ -105,6 +116,17 @@ def test_eval_identical_masks(tmp_path, scene):
     assert run("eval", "--pred", str(mask_path), "--truth", str(mask_path),
                "--out", str(rep)) == 0
     assert json.loads(rep.read_text())["accuracy"] == 1.0
+
+
+def test_eval_of_empty_masks_writes_null_rates(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="litterscan")
+    zeros = tmp_path / "z.pgm"
+    write_mask(LabelMask(np.zeros((4, 4), dtype=np.uint8)), zeros)
+    out = tmp_path / "metrics.json"
+    assert run("eval", "--pred", str(zeros), "--truth", str(zeros), "--out", str(out)) == 0
+    metrics = read_json_object(out, "metrics")
+    assert metrics["recall"] == [1.0, None] and metrics["precision"] == [1.0, None]
+    assert "n/a" in caplog.text
 
 
 def test_train_reruns_are_byte_identical(tmp_path, scene):

@@ -97,6 +97,14 @@ def test_format_report_contains_summary():
     assert "80231" in text
 
 
+def test_rates_with_zero_denominator_are_none():
+    m = ConfusionMatrix(tn=16, fp=0, fn=0, tp=0)
+    r = metrics(m)
+    assert r["recall"] == [1.0, None] and r["precision"] == [1.0, None]
+    lines = format_report(m).splitlines()
+    assert lines[2].endswith("   n/a") and "n/a" in lines[3]
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError, match="empty"):
         ConfusionMatrix(0, 0, 0, 0)

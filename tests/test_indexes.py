@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import make_cube
 from litterscan.indexes import (
     FDI_WAVELENGTH_FACTOR,
-    IndexMap,
     b8b9_index,
     combined_index_mask,
     fdi,
@@ -54,14 +53,15 @@ def test_b8b9_examples():
         "B9": np.array([[2000.0, 1000.0]]),
     })
     out = b8b9_index(cube)
-    assert np.array_equal(out.values, [[0.0, 0.5]])
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [[0.0, 0.5]])
 
 
 def test_b8b9_matches_elementwise_oracle():
     rng = np.random.default_rng(0)
     b8 = rng.integers(0, 4096, size=(2, 2)).astype(float)
     b9 = rng.integers(0, 4096, size=(2, 2)).astype(float)
-    out = b8b9_index(make_cube({"B8": b8, "B9": b9})).values
+    out = b8b9_index(make_cube({"B8": b8, "B9": b9}))
     for i in range(2):
         for j in range(2):
             s = b8[i, j] + b9[i, j]
@@ -81,11 +81,12 @@ def test_ndvi_examples():
         "B8": np.array([[1000.0, 4000.0]]),
     })
     out = ndvi(cube)
-    assert out.values[0, 0] == 0.0
-    assert out.values[0, 1] == pytest.approx(0.6)
+    assert out.dtype == np.float64 and out.shape == (1, 2)
+    assert out[0, 0] == 0.0
+    assert out[0, 1] == pytest.approx(0.6)
     # dense vegetation: high NIR, low red
     veg = ndvi(make_cube({"B4": np.array([[300.0]]), "B8": np.array([[3500.0]])}))
-    assert veg.values[0, 0] > 0.5
+    assert veg[0, 0] > 0.5
 
 
 FDI_EXAMPLE = 235.3574603175  # B8 - baseline for DNs 0.05/0.03/0.01 * 4096
@@ -102,13 +103,14 @@ def test_fdi_example_values():
         "B8": np.array([[1000.0]]),
         "B11": np.array([[1000.0]]),
     })
-    assert fdi(flat).values[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert fdi(flat)[0, 0] == pytest.approx(0.0, abs=1e-12)
     cube = make_cube({
         "B6": np.array([[0.03 * 4096]]),
         "B8": np.array([[0.05 * 4096]]),
         "B11": np.array([[0.01 * 4096]]),
     })
-    assert fdi(cube).values[0, 0] == pytest.approx(FDI_EXAMPLE, rel=1e-10)
+    assert fdi(cube).dtype == np.float64
+    assert fdi(cube)[0, 0] == pytest.approx(FDI_EXAMPLE, rel=1e-10)
 
 
 @given(st.floats(min_value=0.1, max_value=100.0, allow_nan=False))
@@ -121,23 +123,23 @@ def test_fdi_positive_homogeneity(k):
         "B6": np.array([[120.0 * k]]), "B8": np.array([[480.0 * k]]),
         "B11": np.array([[60.0 * k]]),
     })
-    assert fdi(scaled).values[0, 0] == pytest.approx(k * fdi(base).values[0, 0],
-                                                     rel=1e-12)
+    assert fdi(scaled)[0, 0] == pytest.approx(k * fdi(base)[0, 0], rel=1e-12)
 
 
 def test_threshold_map():
-    imap = IndexMap(np.array([[-0.2, 0.5]]))
-    assert np.array_equal(threshold_map(imap, 0.0).labels, [[0, 1]])
-    assert threshold_map(imap, -2.0).labels.all()
-    assert not threshold_map(imap, 2.0).labels.any()
+    values = np.array([[-0.2, 0.5]])
+    assert np.array_equal(threshold_map(values, 0.0), [[0, 1]])
+    assert threshold_map(values, 0.0).dtype == np.bool_
+    assert threshold_map(values, -2.0).all()
+    assert not threshold_map(values, 2.0).any()
 
 
 def test_threshold_monotone_in_t():
     rng = np.random.default_rng(3)
-    imap = IndexMap(rng.uniform(-1, 1, size=(8, 8)))
+    values = rng.uniform(-1, 1, size=(8, 8))
     prev = None
     for t in np.linspace(-1.1, 1.1, 23):
-        cur = threshold_map(imap, t).labels
+        cur = threshold_map(values, t)
         if prev is not None:
             assert not (cur & ~prev).any()  # raising t never adds labels
         prev = cur
@@ -151,12 +153,13 @@ def test_combined_index_mask_single_debris_pixel():
     b11 = np.full((3, 3), 500.0)
     b8[1, 1] = 2000.0  # bright in NIR, NDVI still moderate
     cube = make_cube({"B4": b4, "B6": b6, "B8": b8, "B11": b11})
-    fdi_vals = fdi(cube).values
-    ndvi_vals = ndvi(cube).values
+    fdi_vals = fdi(cube)
+    ndvi_vals = ndvi(cube)
     mask = combined_index_mask(cube, ndvi_max=0.8, fdi_min=500.0)
     expect = ((fdi_vals >= 500.0) & (ndvi_vals <= 0.8)).astype(np.uint8)
-    assert np.array_equal(mask.labels, expect)
-    assert mask.labels.sum() == 1 and mask.labels[1, 1] == 1
+    assert mask.dtype == np.bool_
+    assert np.array_equal(mask, expect)
+    assert mask.sum() == 1 and mask[1, 1] == 1
 
 
 def test_combined_mask_threshold_logic():
@@ -167,7 +170,7 @@ def test_combined_mask_threshold_logic():
         "B11": np.array([[500.0, 500.0]]),
     })
     # fdi_min above both pixels -> nothing labeled
-    assert not combined_index_mask(cube, ndvi_max=1.0, fdi_min=1e5).labels.any()
+    assert not combined_index_mask(cube, ndvi_max=1.0, fdi_min=1e5).any()
     # pixel 1 passes both constraints
     mask = combined_index_mask(cube, ndvi_max=1.0, fdi_min=1000.0)
-    assert np.array_equal(mask.labels, [[0, 1]])
+    assert np.array_equal(mask, [[0, 1]])

@@ -270,9 +270,10 @@ def test_predict_map_threshold_and_range():
     rng = np.random.default_rng(2)
     cube = AlignedCube(CANONICAL_ORDER, rng.uniform(0, 1, size=(4, 5, 13)))
     omap = predict_map(m, cube)
-    assert ((omap.values > 0) & (omap.values < 1)).all()
-    assert not threshold_map(omap, 1.1).labels.any()  # outputs < 1
-    assert threshold_map(omap, -0.1).labels.all()
+    assert omap.shape == (4, 5) and omap.dtype == np.float64
+    assert ((omap > 0) & (omap < 1)).all()
+    assert not threshold_map(omap, 1.1).any()  # outputs < 1
+    assert threshold_map(omap, -0.1).all()
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="threshold must be finite"):
             threshold_map(omap, bad)

@@ -1,5 +1,6 @@
 """Property tests for every container reader: any input yields a valid object
-or a ValueError, never another exception.
+or a ValueError, never another exception. At the command line, `predict` on
+any model document exits 0, or exits 1 with one error line and no output.
 
 Documents are arbitrary bytes, arbitrary JSON values, or a valid document
 whose fields are each kept, dropped or replaced by an arbitrary JSON value.
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.strategies import SearchStrategy
 
 from litterscan.bands import CANONICAL_ORDER
+from litterscan.cli import main
 from litterscan.mlp import MlpModel, load_model
 from litterscan.raster_io import BandStack, LabelMask, load_stack, read_float_raster, read_mask
-from litterscan.resample import AlignedCube, load_cube
+from litterscan.resample import AlignedCube, load_cube, save_cube
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -122,3 +124,28 @@ MODEL = {
 def test_model_json_parses_or_rejects(tmp_path, raw):
     (tmp_path / "m.json").write_bytes(raw)
     parses_or_rejects(load_model, tmp_path / "m.json", MlpModel)
+
+
+@FUZZ
+@given(model=mutated({**MODEL, "weights_output": st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11)}))
+def test_predict_exits_0_or_fails_in_one_line(tmp_path, capsys, model):
+    cube = tmp_path / "c.json"
+    if not cube.exists():
+        values = np.linspace(0.0, 1.0, 2 * 3 * 13).reshape(2, 3, 13)
+        save_cube(AlignedCube(CANONICAL_ORDER, values), cube)
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    code = main(["predict", "--model", str(tmp_path / "m.json"), "--cube", str(cube),
+                 "--out", str(out / "p.pgm"), "--map-out", str(out / "s.f32")])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert sorted(p.name for p in out.iterdir()) == ["p.pgm", "s.f32", "s.f32.json"]
+        for p in out.iterdir():
+            p.unlink()
+    else:
+        assert code == 1
+        assert err.startswith("litterscan predict: ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []

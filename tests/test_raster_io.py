@@ -278,6 +278,24 @@ def test_failure_in_second_block_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["raster", "mask", "both"])
+def test_write_map_rejects_nonfinite_last_block(tmp_path, target, bad):
+    blocks = [np.zeros((2, 3)), np.full((2, 3), 0.75), np.array([[0.25, bad, 1.0]])]
+    raster = None if target == "mask" else tmp_path / "map.f32"
+    mask = None if target == "raster" else tmp_path / "map.pgm"
+    threshold = None if target == "raster" else 0.5
+    with pytest.raises(ValueError, match="map values must be finite"):
+        raster_io.write_map(iter(blocks), 5, 3, raster, mask, threshold)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_json_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        raster_io.write_json(tmp_path / "m.json", {"recall": [1.0, float("nan")]})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_artifacts_honour_the_umask(tmp_path):
     old = os.umask(0o022)
     try:

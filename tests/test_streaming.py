@@ -17,7 +17,6 @@ from litterscan import raster_io, resample
 from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
-from litterscan.indexes import IndexMap
 from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import BandStack, LabelMask, write_mask
 
@@ -109,12 +108,21 @@ def test_no_map_larger_than_one_block_is_built(tmp_path, monkeypatch):
     cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)  # one-row blocks
     sizes = []
-    for cls, field in ((LabelMask, "labels"), (IndexMap, "values")):
-        def recording_post_init(self, post_init=cls.__post_init__, field=field):
-            sizes.append(np.asarray(getattr(self, field)).size)
-            post_init(self)
+    write = raster_io._write
 
-        monkeypatch.setattr(cls, "__post_init__", recording_post_init)
+    def recording_write(files, values, **kwargs):
+        """Record the size of every map block written, or of a whole map."""
+        if isinstance(values, np.ndarray):
+            sizes.append(values.size)
+            return write(files, values, **kwargs)
+
+        def recorded(blocks):
+            for block in blocks:
+                sizes.append(block.size)
+                yield block
+        return write(files, recorded(values), **kwargs)
+
+    monkeypatch.setattr(raster_io, "_write", recording_write)
     out = tmp_path / "out"
     out.mkdir()
     for argv in commands(cube, model, out):
