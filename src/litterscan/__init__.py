@@ -38,7 +38,6 @@ from .mlp import (
 from .raster_io import (
     Band,
     BandStack,
-    LabelMask,
     import_pgm_band,
     load_stack,
     read_mask,

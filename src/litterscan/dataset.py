@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster_io import LabelMask, check_labels
+from .raster_io import check_labels
 from .resample import AlignedCube
 from .rng import SplitMix64
 
@@ -23,7 +23,6 @@ MIN_SAMPLES_PER_WEIGHT = 15
 class SampleSet:
     features: np.ndarray  # (n, 13) float64
     labels: np.ndarray    # (n,) uint8 of {0, 1}
-    band_order: tuple[str, ...]
 
     def __post_init__(self):
         f = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -36,20 +35,17 @@ class SampleSet:
         lb = np.ascontiguousarray(lb, dtype=np.uint8)
         if not np.isfinite(f).all():
             raise ValueError("features must be finite")
-        if len(self.band_order) != N_FEATURES:
-            raise ValueError(f"band_order must list {N_FEATURES} bands")
         f.setflags(write=False)
         lb.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", lb)
-        object.__setattr__(self, "band_order", tuple(self.band_order))
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def take(self, indices) -> "SampleSet":
         idx = np.asarray(indices, dtype=np.int64)
-        return SampleSet(self.features[idx], self.labels[idx], self.band_order)
+        return SampleSet(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,16 @@ class SplitSpec:
             raise ValueError("split fractions must sum to 1")
 
 
-def extract_samples(cube: AlignedCube, mask: LabelMask) -> SampleSet:
-    """One sample per pixel: 13 band values + mask label."""
-    if (mask.rows, mask.cols) != (cube.rows, cube.cols):
-        raise ValueError(
-            f"mask {mask.rows}x{mask.cols} does not match cube {cube.rows}x{cube.cols}"
-        )
+def extract_samples(cube: AlignedCube, mask: np.ndarray) -> SampleSet:
+    """One sample per pixel: 13 band values + the {0, 1} label of a mask on
+    the cube's grid."""
+    if mask.shape != (cube.rows, cube.cols):
+        raise ValueError(f"mask {'x'.join(map(str, mask.shape))} does not match cube "
+                         f"{cube.rows}x{cube.cols}")
     if cube.n_bands != N_FEATURES:
         raise ValueError(f"cube has {cube.n_bands} bands, need {N_FEATURES}")
     feats = cube.values.reshape(-1, N_FEATURES)
-    return SampleSet(feats, mask.labels.reshape(-1), cube.band_ids)
+    return SampleSet(feats, mask.reshape(-1))
 
 
 def balance(samples: SampleSet, seed: int) -> SampleSet:
@@ -115,9 +111,8 @@ def balance(samples: SampleSet, seed: int) -> SampleSet:
     if idx0.size == 0 or idx1.size == 0:
         raise ValueError("both classes must be present to balance")
     minority, majority = (idx0, idx1) if idx0.size <= idx1.size else (idx1, idx0)
-    rng = SplitMix64(seed)
-    chosen = rng.sample_without_replacement(majority.tolist(), minority.size)
-    keep = np.sort(np.concatenate([minority, np.asarray(chosen, dtype=np.int64)]))
+    perm = SplitMix64(seed).permutation(majority.size)
+    keep = np.sort(np.concatenate([minority, majority[perm[:minority.size]]]))
     return samples.take(keep)
 
 
@@ -152,8 +147,7 @@ def apply_normalizer(norm: Normalizer, v: np.ndarray) -> np.ndarray:
 
 
 def normalize_set(norm: Normalizer, samples: SampleSet) -> SampleSet:
-    return SampleSet(apply_normalizer(norm, samples.features), samples.labels,
-                     samples.band_order)
+    return SampleSet(apply_normalizer(norm, samples.features), samples.labels)
 
 
 def dataset_report(samples: SampleSet) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster_io import LabelMask, check_labels
+from .raster_io import check_labels
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,11 @@ class ConfusionMatrix:
         return self.tn + self.fp + self.fn + self.tp
 
 
-def _as_labels(x) -> np.ndarray:
-    if isinstance(x, LabelMask):
-        return x.labels
-    arr = np.asarray(x)
-    check_labels(arr)
-    return arr
-
-
 def confusion(predicted, truth) -> ConfusionMatrix:
-    """Counts of two masks of one shape (one size is not enough)."""
-    p = _as_labels(predicted)
-    t = _as_labels(truth)
+    """Counts of two {0, 1} label arrays of one shape (one size is not enough)."""
+    p, t = np.asarray(predicted), np.asarray(truth)
+    check_labels(p)
+    check_labels(t)
     if p.shape != t.shape:
         raise ValueError(f"size mismatch: predicted {'x'.join(map(str, p.shape))}, "
                          f"truth {'x'.join(map(str, t.shape))}")

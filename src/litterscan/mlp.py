@@ -140,9 +140,13 @@ def _logistic(z):
 
 
 def _forward(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 13) float64 inputs -> hidden activations (n, 10), outputs (n,)."""
-    h = np.tanh(x @ wh[:, :N_FEATURES].T + wh[:, N_FEATURES])
-    return h, _logistic(h @ wo[:N_HIDDEN] + wo[N_HIDDEN])
+    """(n, 13) float64 inputs -> hidden activations (n, 10), outputs (n,).
+    Huge finite weights may overflow a sum: a score that saturates is a valid
+    output, and a NaN is rejected where the scores are used, so numpy's
+    warnings are not printed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.tanh(x @ wh[:, :N_FEATURES].T + wh[:, N_FEATURES])
+        return h, _logistic(h @ wo[:N_HIDDEN] + wo[N_HIDDEN])
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:

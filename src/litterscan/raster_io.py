@@ -81,23 +81,34 @@ def atomic_write(path: str | os.PathLike, header: bytes,
     _write({os.fspath(path): (header, lambda b: np.ascontiguousarray(b, dtype=dtype))}, values)
 
 
+def _f4(block: np.ndarray) -> np.ndarray:
+    """`block` as <f4, every value of which must be finite: a value beyond
+    float32's range would be cast to inf."""
+    with np.errstate(over="ignore"):
+        f4 = np.ascontiguousarray(block, dtype="<f4")
+    if not np.isfinite(f4).all():
+        raise ValueError("map values must be finite in float32")
+    return f4
+
+
 def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
               raster=None, mask=None, threshold: float | None = None) -> None:
     """Write a rows x cols map, an array or its row blocks, in one pass: as
     a float raster at path `raster`, with its sidecar, and/or as a PGM mask
     at path `mask` of the pixels >= `threshold`, or of the map itself as
     {0, 1} labels when `threshold` is None. When it writes a raster or
-    applies a threshold, a non-finite value in any block raises ValueError
-    and no file is left."""
+    applies a threshold, a value that is not finite (in float32, for a
+    raster) in any block raises ValueError and no file is left."""
     files = {}
     if raster is not None:
-        files[os.fspath(raster)] = (b"", lambda b: np.ascontiguousarray(b, dtype="<f4"))
+        files[os.fspath(raster)] = (b"", _f4)
         sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
         files[os.fspath(raster) + ".json"] = (sidecar, lambda b: b"")  # header only
-    if mask is not None:
+    if mask is not None:  # one byte per pixel, whatever the labels' dtype
         files[os.fspath(mask)] = (f"P5\n{cols} {rows}\n255\n".encode("ascii"), lambda b: (
-            b if threshold is None else b >= threshold) * np.uint8(255))
-    _write(files, blocks, finite=raster is not None or threshold is not None)
+            b != 0 if threshold is None else b >= threshold) * np.uint8(255))
+    # with a raster, `_f4` checks each block as it encodes it
+    _write(files, blocks, finite=raster is None and threshold is not None)
 
 
 def write_json(path: str | os.PathLike, doc) -> None:
@@ -211,12 +222,6 @@ class BandStack:
                         f"({what}={n} x {b.spec.native_gsd_m} m != {self.extent_m} m)"
                     )
 
-    def band(self, band_id: str) -> Band:
-        for b in self.bands:
-            if b.spec.id == band_id:
-                return b
-        raise ValueError(f"stack has no band {band_id!r}")
-
     @property
     def band_ids(self) -> tuple[str, ...]:
         return tuple(b.spec.id for b in self.bands)
@@ -227,30 +232,6 @@ def check_labels(labels: np.ndarray) -> None:
     its dtype; any other array is compared as it is, before any cast."""
     if labels.dtype != np.bool_ and not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class LabelMask:
-    """Binary raster, 1 = plastic."""
-
-    labels: np.ndarray  # (rows, cols) uint8 of {0, 1}
-
-    def __post_init__(self):
-        lb = np.asarray(self.labels)
-        if lb.ndim != 2 or lb.size == 0:
-            raise ValueError("labels must be a non-empty 2-D grid")
-        check_labels(lb)
-        lb = np.ascontiguousarray(lb.astype(np.uint8))
-        lb.setflags(write=False)
-        object.__setattr__(self, "labels", lb)
-
-    @property
-    def rows(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.labels.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +325,18 @@ def import_pgm_band(path: str | os.PathLike, spec: BandSpec) -> Band:
     return Band(spec, _read_pgm(path))
 
 
-def read_mask(path: str | os.PathLike) -> LabelMask:
-    return LabelMask(_read_pgm(path) > 0)
+def read_mask(path: str | os.PathLike) -> np.ndarray:
+    """A PGM mask as a 2-D bool array: True (plastic) where the value is > 0."""
+    return _read_pgm(path) > 0
 
 
-def write_mask(mask: LabelMask, path: str | os.PathLike) -> None:
-    write_map(mask.labels, mask.rows, mask.cols, mask=path)
+def write_mask(labels: np.ndarray, path: str | os.PathLike) -> None:
+    """A non-empty 2-D array of {0, 1} labels, of any dtype, as a PGM mask."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.size == 0:
+        raise ValueError("labels must be a non-empty 2-D grid")
+    check_labels(labels)
+    write_map(labels, *labels.shape, mask=path)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,6 @@ class SplitMix64:
         self.shuffle(items)
         return items
 
-    def sample_without_replacement(self, items: list, k: int) -> list:
-        """First k of a Fisher-Yates shuffle of a copy of items."""
-        if k > len(items):
-            raise ValueError("k larger than population")
-        pool = list(items)
-        self.shuffle(pool)
-        return pool[:k]
-
     def normal(self) -> float:
         """Standard normal via Box-Muller (first variate; second discarded
         to keep the stream layout simple)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bands import CANONICAL_ORDER
-from .raster_io import LabelMask
 from .resample import AlignedCube
 from .rng import SplitMix64
 
@@ -26,8 +25,9 @@ def class_means() -> tuple[np.ndarray, np.ndarray]:
     return background, background + sign * MEAN_SEPARATION
 
 
-def plastic_mask(rows: int, cols: int, plastic_frac: float) -> LabelMask:
-    """Centered rectangular patch covering round(frac * rows * cols) pixels."""
+def plastic_mask(rows: int, cols: int, plastic_frac: float) -> np.ndarray:
+    """Bool mask: a centered rectangular patch covering round(frac * rows *
+    cols) pixels."""
     n = rows * cols
     k = int(round(plastic_frac * n))
     if not 0 < k < n:
@@ -38,13 +38,13 @@ def plastic_mask(rows: int, cols: int, plastic_frac: float) -> LabelMask:
         h = min(rows, h + 1)
     r0 = (rows - h) // 2
     c0 = (cols - w) // 2
-    labels = np.zeros((rows, cols), dtype=np.uint8)
-    labels[r0:r0 + h, c0:c0 + w].flat[:k] = 1  # first k pixels, row-major
-    return LabelMask(labels)
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[r0:r0 + h, c0:c0 + w].flat[:k] = True  # first k pixels, row-major
+    return mask
 
 
 def make_scene(rows: int = 100, cols: int = 100, plastic_frac: float = 0.15,
-               seed: int = 0) -> tuple[AlignedCube, LabelMask]:
+               seed: int = 0) -> tuple[AlignedCube, np.ndarray]:
     """Gaussian per-band values around the class mean of each pixel."""
     mask = plastic_mask(rows, cols, plastic_frac)
     mean_bg, mean_pl = class_means()
@@ -53,5 +53,5 @@ def make_scene(rows: int = 100, cols: int = 100, plastic_frac: float = 0.15,
     n = rows * cols * 13
     values = np.fromiter((rng.normal() for _ in range(n)), np.float64, n).reshape(rows, cols, 13)
     values *= SIGMA
-    values += np.where(mask.labels[:, :, None] == 1, mean_pl, mean_bg)
+    values += np.where(mask[:, :, None], mean_pl, mean_bg)
     return AlignedCube(CANONICAL_ORDER, values), mask

@@ -34,7 +34,6 @@ from litterscan.mlp import (
 )
 from litterscan.raster_io import (
     BandStack,
-    LabelMask,
     load_stack,
     read_float_raster,
     read_mask,
@@ -69,7 +68,7 @@ def test_criterion_02_gradient_correctness():
         n = 1 + rng.next_below(32)
         feats = np.array([[rng.uniform(-1.5, 1.5) for _ in range(13)] for _ in range(n)])
         labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-        s = SampleSet(feats, labels, CANONICAL_ORDER)
+        s = SampleSet(feats, labels)
         g = gradient(m, s)
         w = flatten_weights(m)
         gfd = np.empty_like(g)
@@ -136,7 +135,7 @@ def test_criterion_04_end_to_end_synthetic_analog(tmp_path):
 def test_criterion_05_xor_capability():
     feats = np.zeros((4, 13))
     feats[:, :2] = [[-1, -1], [-1, 1], [1, -1], [1, 1]]
-    s = SampleSet(feats, np.array([0, 1, 1, 0], dtype=np.uint8), CANONICAL_ORDER)
+    s = SampleSet(feats, np.array([0, 1, 1, 0], dtype=np.uint8))
     wins = 0
     for seed in range(10):
         m = init_model(seed, UNIT_NORM, CANONICAL_ORDER)
@@ -206,7 +205,7 @@ def test_criterion_08_determinism(tmp_path):
     labels = np.asarray(ref["labels"], dtype=np.uint8)
     feats = np.zeros((labels.size, 13))
     feats[:, 0] = np.arange(labels.size)
-    s = SampleSet(feats, labels, CANONICAL_ORDER)
+    s = SampleSet(feats, labels)
     for seed in (0, 1):
         kept = balance(s, seed=seed).features[:, 0].astype(int)
         assert list(kept) == ref["balance"][str(seed)]
@@ -224,7 +223,7 @@ def test_criterion_08_determinism(tmp_path):
 def test_criterion_09_dataset_arithmetic():
     from conftest import make_cube
     cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
-    truth = LabelMask(np.zeros((1830, 1830), dtype=np.uint8))
+    truth = np.zeros((1830, 1830), dtype=bool)
     s = extract_samples(cube, truth)
     rep = dataset_report(s)
     assert rep["n_samples"] == 3_348_900
@@ -253,8 +252,8 @@ def test_criterion_10_format_round_trips(tmp_path):
     assert np.array_equal(flatten_weights(m), flatten_weights(m2))
     # mask
     labels = rng.integers(0, 2, size=(25, 31)).astype(np.uint8)
-    write_mask(LabelMask(labels), tmp_path / "m.pgm")
-    assert np.array_equal(read_mask(tmp_path / "m.pgm").labels, labels)
+    write_mask(labels, tmp_path / "m.pgm")
+    assert np.array_equal(read_mask(tmp_path / "m.pgm"), labels)
     # float raster (values exactly representable in 32 bits)
     grid = rng.normal(size=(9, 7)).astype(np.float32).astype(np.float64)
     write_float_raster(grid, tmp_path / "r.f32")

@@ -9,8 +9,8 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import (BandStack, LabelMask, read_float_raster, read_json_object,
-                                 read_mask, save_stack, write_mask)
+from litterscan.raster_io import (BandStack, read_float_raster, read_json_object, read_mask,
+                                 save_stack, write_mask)
 from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
 
@@ -33,7 +33,7 @@ def test_make_synthetic_writes_scene(scene):
     cube = load_cube(cube_path)
     mask = read_mask(mask_path)
     assert (cube.rows, cube.cols, cube.n_bands) == (40, 40, 13)
-    assert mask.labels.sum() == round(0.15 * 1600)
+    assert mask.sum() == round(0.15 * 1600)
 
 
 def test_index_b8b9_matches_oracle(tmp_path, scene):
@@ -57,7 +57,7 @@ def test_index_threshold_mask(tmp_path, scene):
                "--mask-out", str(mask_out)) == 0
     vals = read_float_raster(out)
     mask = read_mask(mask_out)
-    assert np.array_equal(mask.labels, (vals >= 0.0).astype(np.uint8))
+    assert np.array_equal(mask, vals >= 0.0)
 
 
 def test_index_combined(tmp_path, scene):
@@ -65,7 +65,7 @@ def test_index_combined(tmp_path, scene):
     out = tmp_path / "combined.pgm"
     assert run("index", "--cube", str(cube_path), "--method", "combined",
                "--out", str(out), "--ndvi-max", "0.5", "--fdi-min", "100.0") == 0
-    assert read_mask(out).labels.shape == (40, 40)
+    assert read_mask(out).shape == (40, 40)
 
 
 def test_index_combined_missing_flags(tmp_path, scene, capsys):
@@ -121,7 +121,7 @@ def test_eval_identical_masks(tmp_path, scene):
 def test_eval_of_empty_masks_writes_null_rates(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="litterscan")
     zeros = tmp_path / "z.pgm"
-    write_mask(LabelMask(np.zeros((4, 4), dtype=np.uint8)), zeros)
+    write_mask(np.zeros((4, 4), dtype=bool), zeros)
     out = tmp_path / "metrics.json"
     assert run("eval", "--pred", str(zeros), "--truth", str(zeros), "--out", str(out)) == 0
     metrics = read_json_object(out, "metrics")
@@ -251,18 +251,30 @@ MALFORMED_CUBES = {
     "rows_float": lambda doc: {**doc, "rows": float(doc["rows"])},
     "bands_duplicate": lambda doc: {**doc, "bands": ["B4", *doc["bands"][1:]]},
     "bands_unknown": lambda doc: {**doc, "bands": ["X1", *doc["bands"][1:]]},
+    # finite f32 bands whose FDI, about 5.6e38, is beyond float32's range
+    "fdi_overflows_f32": lambda doc: {**doc, "rows": 2, "cols": 3, "file": "overflow.f32"},
 }
+
+
+def write_overflow_payload(path):
+    """The 2x3 payload of "fdi_overflows_f32": B8 = B6 = 3e38, every other band 0."""
+    values = np.zeros((2, 3, len(CANONICAL_ORDER)), dtype="<f4")
+    values[:, :, [CANONICAL_ORDER.index("B6"), CANONICAL_ORDER.index("B8")]] = 3e38
+    values.tofile(path)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CUBES))
 def test_index_rejects_malformed_cube(tmp_path, scene, capsys, case):
     cube_path, _ = scene
+    write_overflow_payload(tmp_path / "overflow.f32")
     doc = MALFORMED_CUBES[case](json.loads(cube_path.read_text()))
     cube_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    out = tmp_path / "ndvi.f32"
-    assert run("index", "--cube", str(cube_path), "--method", "ndvi",
+    out = tmp_path / "fdi.f32"
+    assert run("index", "--cube", str(cube_path), "--method", "fdi",
                "--out", str(out)) == 1
-    assert_one_line_failure(capsys, "index", out, mentions="cube manifest")
+    mentions = "finite in float32" if case == "fdi_overflows_f32" else "cube manifest"
+    assert_one_line_failure(capsys, "index", out, mentions)
+    assert not (tmp_path / "fdi.f32.json").exists()
 
 
 INDEX_BAD_FLAGS = {
@@ -457,8 +469,8 @@ def test_unwritable_output_leaves_no_file(tmp_path, scene, model_path, monkeypat
 
 def test_eval_rejects_masks_on_different_grids(tmp_path, capsys):
     pred, truth = tmp_path / "pred.pgm", tmp_path / "truth.pgm"
-    write_mask(LabelMask(np.eye(8, 2, dtype=np.uint8)), pred)  # 8 rows, 2 columns
-    write_mask(LabelMask(np.eye(4, dtype=np.uint8)), truth)
+    write_mask(np.eye(8, 2, dtype=bool), pred)  # 8 rows, 2 columns
+    write_mask(np.eye(4, dtype=bool), truth)
     out = tmp_path / "metrics.json"
     assert run("eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)) == 1
     assert capsys.readouterr().err == (

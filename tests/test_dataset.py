@@ -18,7 +18,6 @@ from litterscan.dataset import (
     normalize_set,
     split,
 )
-from litterscan.raster_io import LabelMask
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -36,12 +35,12 @@ def sample_set(labels, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.uniform(0, 4095, size=(labels.size, 13))
     feats[:, 0] = np.arange(labels.size)  # identify samples by first feature
-    return SampleSet(feats, labels, CANONICAL_ORDER)
+    return SampleSet(feats, labels)
 
 
 def test_extract_samples_basic():
     cube = full_cube(2, 2)
-    mask = LabelMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
+    mask = np.array([[True, False], [False, True]])
     s = extract_samples(cube, mask)
     assert len(s) == 4
     assert list(s.labels) == [1, 0, 0, 1]
@@ -50,7 +49,7 @@ def test_extract_samples_basic():
 
 def test_extract_samples_dimension_mismatch():
     cube = full_cube(2, 2)
-    mask = LabelMask(np.zeros((3, 3), dtype=np.uint8))
+    mask = np.zeros((3, 3), dtype=bool)
     with pytest.raises(ValueError, match="does not match"):
         extract_samples(cube, mask)
 
@@ -60,7 +59,7 @@ def test_extract_standard_grid_sample_count():
     cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
     labels = np.zeros((1830, 1830), dtype=np.uint8)
     labels[0, 0] = 1
-    s = extract_samples(cube, LabelMask(labels))
+    s = extract_samples(cube, labels)
     assert len(s) == 3_348_900
     rep = dataset_report(s)
     assert rep["n_samples"] == 3_348_900
@@ -126,13 +125,13 @@ def test_split_spec_validation():
 @pytest.mark.parametrize("labels", [[256, 1, 0], [1.7, 0.2, 0.0]])
 def test_sample_set_rejects_labels_before_casting_them(labels):
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        SampleSet(np.zeros((3, 13)), np.array(labels), CANONICAL_ORDER)
+        SampleSet(np.zeros((3, 13)), np.array(labels))
 
 
 def test_fit_normalizer():
     feats = np.zeros((2, 13))
     feats[1] = 4095.0
-    norm = fit_normalizer(SampleSet(feats, np.array([0, 1]), CANONICAL_ORDER))
+    norm = fit_normalizer(SampleSet(feats, np.array([0, 1])))
     assert np.array_equal(norm.minimum, np.zeros(13))
     assert np.array_equal(norm.maximum, np.full(13, 4095.0))
 
@@ -140,7 +139,7 @@ def test_fit_normalizer():
 def test_fit_normalizer_rejects_constant_band():
     feats = np.ones((3, 13))
     with pytest.raises(ValueError, match="min >= max"):
-        fit_normalizer(SampleSet(feats, np.array([0, 1, 0]), CANONICAL_ORDER))
+        fit_normalizer(SampleSet(feats, np.array([0, 1, 0])))
 
 
 def test_apply_normalizer_endpoints():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from litterscan.evaluation import ConfusionMatrix, confusion, format_report, metrics
-from litterscan.raster_io import LabelMask
 
 # Published confusion matrices, printed row-major with rows = output class
 # and columns = target class: (output0,target0), (output0,target1),
@@ -37,7 +36,7 @@ def test_confusion_matches_counting_oracle():
 
 
 def test_confusion_accepts_masks():
-    a = LabelMask(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    a = np.array([[False, True], [True, False]])
     m = confusion(a, a)
     assert metrics(m)["accuracy"] == 1.0
 
@@ -47,7 +46,7 @@ def test_confusion_size_mismatch():
         confusion([0, 1], [0, 1, 0])
     # the same pixel count on different grids
     with pytest.raises(ValueError, match="size mismatch: predicted 8x2, truth 4x4"):
-        confusion(np.zeros((8, 2), dtype=np.uint8), LabelMask(np.zeros((4, 4), dtype=np.uint8)))
+        confusion(np.zeros((8, 2), dtype=np.uint8), np.zeros((4, 4), dtype=bool))
 
 
 def test_swap_transposes():

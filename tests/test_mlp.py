@@ -43,13 +43,13 @@ def random_set(n, seed):
     rng = SplitMix64(seed)
     feats = np.array([[rng.uniform(-1.5, 1.5) for _ in range(13)] for _ in range(n)])
     labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-    return SampleSet(feats, labels, CANONICAL_ORDER)
+    return SampleSet(feats, labels)
 
 
 def xor_set():
     feats = np.zeros((4, 13))
     feats[:, :2] = [[-1, -1], [-1, 1], [1, -1], [1, 1]]
-    return SampleSet(feats, np.array([0, 1, 1, 0], dtype=np.uint8), CANONICAL_ORDER)
+    return SampleSet(feats, np.array([0, 1, 1, 0], dtype=np.uint8))
 
 
 def test_parameter_count_is_151():
@@ -113,7 +113,7 @@ def test_loss_examples():
     s = random_set(16, 3)
     m = with_weights(pinned_model(), np.zeros(151))
     # zero weights -> every output 0.5; balanced labels give MSE 0.25
-    balanced = SampleSet(s.features, np.array([0, 1] * 8, dtype=np.uint8), s.band_order)
+    balanced = SampleSet(s.features, np.array([0, 1] * 8, dtype=np.uint8))
     assert loss(m, balanced) == pytest.approx(0.25)
     # independent two-line oracle
     mp = pinned_model()
@@ -150,7 +150,7 @@ def test_gradient_duplication_invariant():
     m = init_model(2, UNIT_NORM, CANONICAL_ORDER)
     s = random_set(8, 11)
     doubled = SampleSet(np.vstack([s.features, s.features]),
-                        np.concatenate([s.labels, s.labels]), s.band_order)
+                        np.concatenate([s.labels, s.labels]))
     assert np.allclose(gradient(m, s), gradient(m, doubled), rtol=0, atol=1e-15)
 
 
@@ -158,7 +158,7 @@ def test_gradient_zero_at_stationary_point():
     # all-zero weights with balanced labels: outputs 0.5, hidden activity 0
     m = with_weights(pinned_model(), np.zeros(151))
     s = random_set(10, 5)
-    balanced = SampleSet(s.features, np.array([0, 1] * 5, dtype=np.uint8), s.band_order)
+    balanced = SampleSet(s.features, np.array([0, 1] * 5, dtype=np.uint8))
     assert np.linalg.norm(gradient(m, balanced)) < 1e-12
 
 
@@ -254,9 +254,9 @@ def test_train_separable_problem():
     feats = np.vstack([x0, x1])
     labels = np.array([0] * n + [1] * n, dtype=np.uint8)
     perm = np.random.default_rng(1).permutation(2 * n)
-    s = SampleSet(feats[perm[:1400]], labels[perm[:1400]], CANONICAL_ORDER)
-    v = SampleSet(feats[perm[1400:1700]], labels[perm[1400:1700]], CANONICAL_ORDER)
-    t = SampleSet(feats[perm[1700:]], labels[perm[1700:]], CANONICAL_ORDER)
+    s = SampleSet(feats[perm[:1400]], labels[perm[:1400]])
+    v = SampleSet(feats[perm[1400:1700]], labels[perm[1400:1700]])
+    t = SampleSet(feats[perm[1700:]], labels[perm[1700:]])
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
     out, _ = train(m, s, v, TrainConfig(max_iters=200))
     pred = (forward_batch(out, t.features) >= 0.5).astype(int)
@@ -328,5 +328,4 @@ def test_load_minimal_handwritten_model(tmp_path):
 def test_train_rejects_empty_sets():
     m = pinned_model()
     with pytest.raises(ValueError):
-        loss(m, SampleSet(np.zeros((0, 13)), np.zeros(0, dtype=np.uint8),
-                          CANONICAL_ORDER))
+        loss(m, SampleSet(np.zeros((0, 13)), np.zeros(0, dtype=np.uint8)))

@@ -1,6 +1,7 @@
 """Property tests for every container reader: any input yields a valid object
 or a ValueError, never another exception. At the command line, `predict` on
-any model document exits 0, or exits 1 with one error line and no output.
+any model document and `eval` on any PGM exit 0, or exit 1 with one error
+line and no output.
 
 Documents are arbitrary bytes, arbitrary JSON values, or a valid document
 whose fields are each kept, dropped or replaced by an arbitrary JSON value.
@@ -10,14 +11,14 @@ Payload file names stay valid: a missing file is an OSError by design.
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import SearchStrategy
 
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.mlp import MlpModel, load_model
-from litterscan.raster_io import BandStack, LabelMask, load_stack, read_float_raster, read_mask
+from litterscan.raster_io import BandStack, load_stack, read_float_raster, read_mask
 from litterscan.resample import AlignedCube, load_cube, save_cube
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -104,12 +105,44 @@ PGM_HEADERS = (st.text(alphabet=" \n\t#0123456789+-x", max_size=16).map(str.enco
                            st.sampled_from([255, 65535, 7])).map(str.encode))
 
 
+PGMS = st.binary(max_size=40) | st.builds(lambda head, body: b"P5" + head + body, PGM_HEADERS,
+                                           st.binary(max_size=24))
+
+
 @FUZZ
-@given(raw=st.binary(max_size=40)
-       | st.builds(lambda head, body: b"P5" + head + body, PGM_HEADERS, st.binary(max_size=24)))
+@given(raw=PGMS)
 def test_pgm_parses_or_rejects(tmp_path, raw):
     (tmp_path / "m.pgm").write_bytes(raw)
-    parses_or_rejects(read_mask, tmp_path / "m.pgm", LabelMask)
+    mask = parses_or_rejects(read_mask, tmp_path / "m.pgm", np.ndarray)
+    if mask is not None:
+        assert mask.ndim == 2 and mask.dtype == np.bool_
+
+
+def assert_exits_0_or_fails_in_one_line(capsys, code, cmd, out, written):
+    """`code` is 0 and stderr is empty with the files `written` in `out`, or
+    `code` is 1 with one `litterscan <cmd>: ` line and nothing in `out`."""
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert sorted(p.name for p in out.iterdir()) == written
+        for p in out.iterdir():
+            p.unlink()
+    else:
+        assert code == 1
+        assert err.startswith(f"litterscan {cmd}: ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
+
+@FUZZ
+@given(pred=PGMS, truth=PGMS | st.none())
+def test_eval_exits_0_or_fails_in_one_line(tmp_path, capsys, pred, truth):
+    (tmp_path / "pred.pgm").write_bytes(pred)
+    (tmp_path / "truth.pgm").write_bytes(pred if truth is None else truth)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    code = main(["eval", "--pred", str(tmp_path / "pred.pgm"),
+                 "--truth", str(tmp_path / "truth.pgm"), "--out", str(out / "metrics.json")])
+    assert_exits_0_or_fails_in_one_line(capsys, code, "eval", out, ["metrics.json"])
 
 
 MODEL = {
@@ -129,6 +162,8 @@ def test_model_json_parses_or_rejects(tmp_path, raw):
 @FUZZ
 @given(model=mutated({**MODEL, "weights_output": st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11)}))
+@example(model={**MODEL, "weights_output": [1.7e308] * 11})  # output sums overflow
+@example(model={**MODEL, "weights_hidden": [[1e308] * 14] * 10})  # hidden sums overflow
 def test_predict_exits_0_or_fails_in_one_line(tmp_path, capsys, model):
     cube = tmp_path / "c.json"
     if not cube.exists():
@@ -139,13 +174,5 @@ def test_predict_exits_0_or_fails_in_one_line(tmp_path, capsys, model):
     out.mkdir(exist_ok=True)
     code = main(["predict", "--model", str(tmp_path / "m.json"), "--cube", str(cube),
                  "--out", str(out / "p.pgm"), "--map-out", str(out / "s.f32")])
-    err = capsys.readouterr().err
-    if code == 0:
-        assert err == ""
-        assert sorted(p.name for p in out.iterdir()) == ["p.pgm", "s.f32", "s.f32.json"]
-        for p in out.iterdir():
-            p.unlink()
-    else:
-        assert code == 1
-        assert err.startswith("litterscan predict: ") and err.count("\n") == 1, err
-        assert list(out.iterdir()) == []
+    assert_exits_0_or_fails_in_one_line(capsys, code, "predict", out,
+                                        ["p.pgm", "s.f32", "s.f32.json"])

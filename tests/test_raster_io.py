@@ -13,7 +13,6 @@ from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import (
     Band,
     BandStack,
-    LabelMask,
     import_pgm_band,
     load_stack,
     read_float_raster,
@@ -84,8 +83,8 @@ def test_full_13_band_stack_small_grid():
         bands.append(make_band(bid, np.full((n, n), 7)))
     stack = BandStack(tuple(bands), extent_m=360.0)
     assert stack.band_ids == CANONICAL_ORDER
-    assert stack.band("B9").rows == 6
-    assert stack.band("B2").rows == 36
+    rows = {b.spec.id: b.rows for b in stack.bands}
+    assert (rows["B9"], rows["B2"]) == (6, 36)
 
 
 def test_stack_save_load_round_trip(tmp_path):
@@ -170,7 +169,7 @@ def test_import_pgm_bad_maxval_and_truncation(tmp_path):
 
 def test_write_mask_encoding(tmp_path):
     path = tmp_path / "m.pgm"
-    write_mask(LabelMask(np.array([[0, 1]], dtype=np.uint8)), path)
+    write_mask(np.array([[0, 1]], dtype=np.uint8), path)
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n2 1\n255\n")
     assert raw[-2:] == bytes([0, 255])
@@ -178,21 +177,28 @@ def test_write_mask_encoding(tmp_path):
 
 def test_write_all_zero_mask(tmp_path):
     path = tmp_path / "m.pgm"
-    write_mask(LabelMask(np.zeros((4, 4), dtype=np.uint8)), path)
+    write_mask(np.zeros((4, 4), dtype=np.uint8), path)
     assert path.read_bytes().endswith(bytes(16))
 
 
-def test_mask_round_trip(tmp_path):
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+def test_mask_round_trip(tmp_path, dtype):
     rng = np.random.default_rng(5)
-    labels = rng.integers(0, 2, size=(32, 32)).astype(np.uint8)
+    labels = rng.integers(0, 2, size=(32, 32)).astype(dtype)
     path = tmp_path / "m.pgm"
-    write_mask(LabelMask(labels), path)
-    assert np.array_equal(read_mask(path).labels, labels)
+    write_mask(labels, path)
+    pixels = np.where(labels, 255, 0).astype(np.uint8)  # one byte per pixel
+    assert path.read_bytes() == b"P5\n32 32\n255\n" + pixels.tobytes()
+    mask = read_mask(path)
+    assert mask.dtype == np.bool_ and np.array_equal(mask, labels)
 
 
-def test_mask_validation():
-    with pytest.raises(ValueError):
-        LabelMask(np.array([[0, 2]]))
+def test_mask_validation(tmp_path):
+    for bad, match in ((np.array([[0, 2]]), "0 or 1"), (np.array([0, 1]), "2-D"),
+                       (np.zeros((0, 3), dtype=bool), "non-empty")):
+        with pytest.raises(ValueError, match=match):
+            write_mask(bad, tmp_path / "m.pgm")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- float rasters ---
@@ -247,7 +253,7 @@ def write_every_raster(directory):
     band = values[:COLS, :, 0]  # bands are square
     save_stack(BandStack((make_band("B4", band),), extent_m=10.0 * COLS), directory / "s.json")
     write_float_raster(values[:, :, 1] / 7.0, directory / "r.f32")
-    write_mask(LabelMask(labels), directory / "m.pgm")
+    write_mask(labels, directory / "m.pgm")
     one_shot = {
         "cube.f32": values.astype("<f4").tobytes(),
         "s_B4.u16": band.astype("<u2").tobytes(),
@@ -299,7 +305,7 @@ def test_write_json_rejects_nan(tmp_path):
 def test_artifacts_honour_the_umask(tmp_path):
     old = os.umask(0o022)
     try:
-        write_mask(LabelMask(np.eye(3)), tmp_path / "m.pgm")
+        write_mask(np.eye(3), tmp_path / "m.pgm")
         save_cube(AlignedCube(("B8",), np.ones((2, 3, 1))), tmp_path / "cube.json")
         write_float_raster(np.ones((2, 3)), tmp_path / "r.f32")
         save_model(init_model(0, Normalizer(np.zeros(13), np.ones(13)), CANONICAL_ORDER),

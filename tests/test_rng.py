@@ -38,14 +38,6 @@ def test_shuffle_deterministic_and_permutation():
     assert sorted(a) == list(range(50))
 
 
-def test_sample_without_replacement():
-    g = SplitMix64(9)
-    picked = g.sample_without_replacement(list(range(100)), 10)
-    assert len(picked) == len(set(picked)) == 10
-    with pytest.raises(ValueError):
-        g.sample_without_replacement([1, 2], 3)
-
-
 def test_normal_moments():
     g = SplitMix64(123)
     xs = [g.normal() for _ in range(20000)]

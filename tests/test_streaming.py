@@ -18,7 +18,7 @@ from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import BandStack, LabelMask, write_mask
+from litterscan.raster_io import BandStack, write_mask
 
 ROWS, COLS = 23, 17  # 391 px
 
@@ -187,7 +187,7 @@ def test_mask_steps_hold_a_few_bytes_per_mask_pixel(tmp_path, monkeypatch):
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", cols)
     rng = np.random.default_rng(1)
     for name in ("a.pgm", "b.pgm"):
-        write_mask(LabelMask(rng.random((rows, cols)) < 0.5), tmp_path / name)
+        write_mask(rng.random((rows, cols)) < 0.5, tmp_path / name)
     steps = {
         "eval": ["eval", "--pred", str(tmp_path / "a.pgm"), "--truth", str(tmp_path / "b.pgm"),
                  "--out", str(tmp_path / "eval.json")],

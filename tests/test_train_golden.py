@@ -38,7 +38,7 @@ def wide_sets() -> tuple[SampleSet, SampleSet]:
     n = N_TRAIN + N_VAL
     feats = np.array([[SIGMA * rng.normal() for _ in range(13)] for _ in range(n)])
     labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-    whole = SampleSet(feats, labels, CANONICAL_ORDER)
+    whole = SampleSet(feats, labels)
     return whole.take(np.arange(N_TRAIN)), whole.take(np.arange(N_TRAIN, n))
 
 
