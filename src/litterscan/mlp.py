@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_FEATURES, Normalizer, SampleSet, apply_normalizer
+from .dataset import N_FEATURES, Normalizer, SampleSet
 from .raster_io import read_json_object, write_json
 from .resample import AlignedCube
 from .rng import SplitMix64
@@ -145,7 +145,9 @@ def _forward(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> tuple[np.ndarray,
     output, and a NaN is rejected where the scores are used, so numpy's
     warnings are not printed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.tanh(x @ wh[:, :N_FEATURES].T + wh[:, N_FEATURES])
+        h = x @ wh[:, :N_FEATURES].T
+        h += wh[:, N_FEATURES]
+        np.tanh(h, out=h)  # in place: one (n, 10) array per pass
         return h, _logistic(h @ wo[:N_HIDDEN] + wo[N_HIDDEN])
 
 
@@ -272,15 +274,33 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
 # ---------------------------------------------------------------------------
 # inference and serialization
 
+def fold_normalizer(model: MlpModel) -> np.ndarray:
+    """The hidden layer's (10, 14) weights on raw band values: the normalizer
+    a*x + c, with a = 2/(max - min) and c = -2*min/(max - min) - 1, folded
+    into W' = W*diag(a) and b' = W*c + b. A folded weight that is not finite
+    in float64 raises ValueError."""
+    norm, w, b = model.normalizer, model.w_hidden[:, :N_FEATURES], model.w_hidden[:, N_FEATURES]
+    span = norm.maximum - norm.minimum
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned about
+        a = 2.0 / span
+        c = -2.0 * norm.minimum / span - 1.0
+        folded = np.column_stack([w * a, w @ c + b])
+    if not np.isfinite(folded).all():
+        raise ValueError("model weights overflow when its normalizer is folded into the "
+                         "first layer")
+    return folded
+
+
 def predict_map(model: MlpModel, cube: AlignedCube) -> np.ndarray:
-    """Per-pixel normalize + forward: the network's output, in (0, 1), for
-    every pixel; `raster_io.write_map` thresholds it into a mask."""
+    """The network's output, in (0, 1), for every pixel, from the raw band
+    values through the folded first layer (`fold_normalizer`);
+    `raster_io.write_map` thresholds it into a mask."""
     if cube.band_ids != model.band_order:
         raise ValueError(
             f"cube bands {cube.band_ids} do not match model bands {model.band_order}"
         )
-    x = apply_normalizer(model.normalizer, cube.values.reshape(-1, N_FEATURES))
-    return forward_batch(model, x).reshape(cube.rows, cube.cols)
+    x = cube.values.reshape(-1, N_FEATURES)
+    return _forward(fold_normalizer(model), model.w_output, x)[1].reshape(cube.rows, cube.cols)
 
 
 def save_model(model: MlpModel, path: str | os.PathLike) -> None:

@@ -44,7 +44,8 @@ def _write(files: dict[str, tuple[bytes, Callable]], values, finite: bool = Fals
     """Write each file's header, then each row block of `values` (an array
     or an iterable of blocks) as the file's encoder makes it, to temp files
     that are renamed into place only when all are complete: a failure leaves
-    none of them. With `finite`, a block holding a non-finite value fails.
+    none of them, and a generator of blocks is closed before the error is
+    raised. With `finite`, a block holding a non-finite value fails.
     An OS error names the output, not its temp file."""
     blocks = values if not isinstance(values, np.ndarray) else (
         values[r0:r1] for r0, r1 in row_ranges(*values.shape[:2]))
@@ -53,6 +54,8 @@ def _write(files: dict[str, tuple[bytes, Callable]], values, finite: bool = Fals
     outs, renamed = [], 0
     try:
         with contextlib.ExitStack() as stack:
+            if hasattr(blocks, "close"):  # a stream stops its threads when closed
+                stack.callback(blocks.close)
             for tmp, (header, _) in zip(tmps, files.values()):
                 outs.append(stack.enter_context(open(tmp, "xb")))  # 0o666 less the umask
                 outs[-1].write(header)

@@ -1,5 +1,8 @@
 """Lanczos3 band alignment onto the finest grid, and the cube container,
 which is written (`StackAlignment.blocks`) and read (`map_cube_rows`) in row blocks.
+Both streams put one helper thread to work beside the calling thread once
+there is a second block: numpy releases the interpreter lock for the block
+arithmetic, so the two threads use two cores.
 
 Conventions (these make constant images constant and keep the grids
 concentric):
@@ -10,9 +13,11 @@ concentric):
 
 from __future__ import annotations
 
+import contextlib
 import os
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -139,17 +144,38 @@ class StackAlignment:
                 raise ValueError(f"band {b.spec.id}: grid ratio {ratio} unsupported")
             self._bands.append((b.pixels, _grid_taps(b.pixels.shape, scale)))
 
-    def rows_block(self, r0: int, r1: int) -> np.ndarray:
-        """Output rows r0:r1 of every band, interleaved (finite: interpolated from uint16)."""
+    def rows_block(self, r0: int, r1: int, helper: Executor | None = None) -> np.ndarray:
+        """Output rows r0:r1 of every band, interleaved (finite: interpolated
+        from uint16). With a `helper` executor, its thread and this one take
+        band planes in turn, each the next one not yet taken, and fill them
+        in the one block; a plane's values do not depend on the thread."""
         values = np.empty((r1 - r0, self.cols, len(self._bands)))
-        for i, (img, taps) in enumerate(self._bands):
-            values[:, :, i] = _resample_rows(img, taps, r0, r1)
+        planes = iter(range(len(self._bands)))  # next() on it is atomic: each plane is taken once
+
+        def fill():
+            for i in planes:
+                img, taps = self._bands[i]
+                values[:, :, i] = _resample_rows(img, taps, r0, r1)
+
+        if helper is None:
+            fill()
+            return values
+        theirs = helper.submit(fill)
+        try:
+            fill()
+        finally:
+            theirs.result()
         return values
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The aligned values in row blocks (`raster_io.row_ranges`)."""
-        for r0, r1 in row_ranges(self.rows, self.cols):
-            yield self.rows_block(r0, r1)
+        """The aligned values in row blocks (`raster_io.row_ranges`). From a
+        second block on, one helper thread fills band planes of each block
+        beside this one (`rows_block`); a block is complete before it is
+        yielded, so one block is held at a time."""
+        ranges = list(row_ranges(self.rows, self.cols))
+        with _helper_thread(len(ranges) > 1) as helper:
+            for r0, r1 in ranges:
+                yield self.rows_block(r0, r1, helper)
 
 
 def align_stack(stack: BandStack) -> AlignedCube:
@@ -211,27 +237,76 @@ def read_cube_header(manifest_path: str | os.PathLike) -> CubeHeader:
     return CubeHeader(rows, cols, tuple(ids), payload)
 
 
-def _read_rows(f: BinaryIO, header: CubeHeader, n_rows: int) -> AlignedCube:
-    """The next `n_rows` rows of the open payload `f`, widened to float64.
-    This is where a cube's values are checked: `AlignedCube` rejects a
-    non-finite one."""
+def _read_rows(f: BinaryIO, header: CubeHeader, n_rows: int) -> np.ndarray:
+    """The next `n_rows` rows of the open payload `f`, as read: f32, (n_rows, cols, n_bands)."""
     n_bands = len(header.band_ids)
     data = np.fromfile(f, dtype="<f4", count=n_rows * header.cols * n_bands)
-    return AlignedCube(header.band_ids,
-                       data.astype(np.float64).reshape(n_rows, header.cols, n_bands))
+    return data.reshape(n_rows, header.cols, n_bands)
+
+
+def _cube(header: CubeHeader, rows: np.ndarray) -> AlignedCube:
+    """Rows from `_read_rows`, widened to float64. This is where a cube's
+    values are checked: `AlignedCube` rejects a non-finite one."""
+    return AlignedCube(header.band_ids, rows.astype(np.float64))
 
 
 def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
     header = read_cube_header(manifest_path)
     with open(header.payload, "rb") as f:
-        return _read_rows(f, header, header.rows)
+        return _cube(header, _read_rows(f, header, header.rows))
+
+
+@contextlib.contextmanager
+def _helper_thread(needed: bool) -> Iterator[Executor | None]:
+    """One helper thread if `needed`, else None. On exit a task not yet
+    started is cancelled and a running one is waited for, so the thread
+    never outlives the stream that started it."""
+    if not needed:
+        yield None
+        return
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield helper
+    finally:
+        helper.shutdown(cancel_futures=True)
+
+
+def _in_order(fn: Callable, items: Iterable, helper: Executor | None) -> Iterator:
+    """fn(item) for each of `items`, yielded in order; `items` is advanced
+    in this thread only. With a `helper` executor, alternate items are
+    computed there while this thread computes the others, so at most two
+    are computed at once. A failure raises the error of the earliest
+    failing item, as a serial pass would."""
+    if helper is None:
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    pending = None  # the helper's item, which comes before this thread's
+    for item in items:
+        if pending is None:
+            pending = helper.submit(fn, item)
+            continue
+        try:
+            mine = fn(item)
+        finally:
+            theirs = pending.result()
+        item = next(items, None)  # the helper's next item, started before the yields
+        pending = None if item is None else helper.submit(fn, item)
+        yield theirs
+        yield mine
+    if pending is not None:  # an odd count: the last item is the helper's
+        yield pending.result()
 
 
 def map_cube_rows(header: CubeHeader,
                   fn: Callable[[AlignedCube], np.ndarray]) -> Iterator[np.ndarray]:
-    """fn applied to each row block of the cube (`raster_io.row_ranges`), in
-    order: fn maps a block of n rows to an (n, cols) result. Only one block
-    of the cube is in memory at a time."""
-    with open(header.payload, "rb") as f:
-        for r0, r1 in row_ranges(header.rows, header.cols):
-            yield fn(_read_rows(f, header, r1 - r0))
+    """fn applied to each row block of the cube (`raster_io.row_ranges`),
+    yielded in order: fn maps a block of n rows to an (n, cols) result.
+    This thread reads every block. From a second block on, alternate blocks
+    are widened, checked and mapped by one helper thread while this thread
+    does the others, so at most two blocks of the cube are in memory at a
+    time; a one-block cube starts no thread."""
+    ranges = list(row_ranges(header.rows, header.cols))
+    with open(header.payload, "rb") as f, _helper_thread(len(ranges) > 1) as helper:
+        yield from _in_order(lambda rows: fn(_cube(header, rows)),
+                             (_read_rows(f, header, r1 - r0) for r0, r1 in ranges), helper)

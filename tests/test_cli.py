@@ -224,6 +224,25 @@ def test_predict_rejects_malformed_model(tmp_path, scene, model_path, capsys, re
     assert not recwarn.list  # warnings bypass capsys
 
 
+@pytest.mark.parametrize("model", [
+    {"weights_hidden": [[1e308] * 14] * 10},  # W * 2 overflows
+    {"normalizer": {"min": [0.0] * 13, "max": [1e-308] * 13}},  # 2 / (max - min) overflows
+])
+def test_predict_rejects_a_model_whose_folded_first_layer_overflows(tmp_path, scene, model_path,
+                                                                     capsys, model):
+    """`predict` folds the normalizer into the first layer; a folded weight
+    that is not finite in float64 fails the command, naming the model."""
+    cube_path, _ = scene
+    model_path.write_text(json.dumps({**json.loads(model_path.read_text()), **model}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("predict", "--model", str(model_path), "--cube", str(cube_path),
+               "--out", str(out / "pred.pgm"), "--map-out", str(out / "scores.f32")) == 1
+    assert capsys.readouterr().err == ("litterscan predict: model weights overflow when its "
+                                       "normalizer is folded into the first layer\n")
+    assert list(out.iterdir()) == []
+
+
 def test_predict_rejects_nan_threshold(tmp_path, scene, model_path, capsys):
     cube_path, _ = scene
     pred = tmp_path / "pred.pgm"

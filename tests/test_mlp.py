@@ -5,7 +5,7 @@ import pytest
 
 from litterscan import mlp
 from litterscan.bands import CANONICAL_ORDER
-from litterscan.dataset import Normalizer, SampleSet
+from litterscan.dataset import Normalizer, SampleSet, apply_normalizer
 from litterscan.indexes import threshold_map
 from litterscan.mlp import (
     _ALMOST_ONE,
@@ -277,6 +277,25 @@ def test_predict_map_threshold_and_range():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="threshold must be finite"):
             threshold_map(omap, bad)
+
+
+def test_predict_map_folds_the_normalizer_into_the_first_layer():
+    """The folded layer on raw values gives the scores of the normalized
+    path to float64 rounding (a reassociated 13-term sum per unit)."""
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(50, 500, 13)
+    norm = Normalizer(lo, lo + rng.uniform(1000, 3000, 13))
+    m = init_model(4, norm, CANONICAL_ORDER)
+    cube = AlignedCube(CANONICAL_ORDER, rng.uniform(0, 4000, size=(6, 7, 13)))
+    x = cube.values.reshape(-1, 13)
+    expect = forward_batch(m, apply_normalizer(norm, x)).reshape(6, 7)
+    assert np.allclose(predict_map(m, cube), expect, rtol=0, atol=1e-12)
+    folded = mlp.fold_normalizer(m)
+    assert folded.shape == (10, 14)
+    ones = np.ones((x.shape[0], 1))
+    assert np.allclose(np.hstack([x, ones]) @ folded.T,
+                       np.hstack([apply_normalizer(norm, x), ones]) @ m.w_hidden.T,
+                       rtol=1e-12, atol=1e-9)
 
 
 def test_predict_map_band_mismatch():

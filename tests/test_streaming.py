@@ -4,16 +4,22 @@ bad value in the last block leaves no output, no map larger than one block
 is built, and memory stays below 1 B per pixel with one-row blocks.
 `resample` builds and writes the cube in row blocks: its bytes do not depend
 on the block size and it holds the stack plus one block; `align_stack`
-holds one float64 cube."""
+holds one float64 cube. From a second block on, both streams use one helper
+thread: the bytes are those of a serial run, a failure in either thread
+leaves no file and no thread, and a one-block stream starts no thread."""
 
+import inspect
 import json
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import make_band, write_coast_pgms
-from litterscan import raster_io, resample
+from litterscan import indexes, raster_io, resample
 from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
@@ -78,6 +84,9 @@ def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixe
     read_rows = resample._read_rows
 
     def recording_read_rows(f, header, n_rows):
+        """Record each block's size, in read order: the payload is read by
+        the calling thread only, whichever thread computes the block."""
+        assert threading.current_thread() is threading.main_thread()
         blocks.append(n_rows)
         return read_rows(f, header, n_rows)
 
@@ -250,9 +259,10 @@ def test_resample_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, name,
     blocks = []
     rows_block = resample.StackAlignment.rows_block
 
-    def recording_rows_block(self, r0, r1):
-        blocks.append(r1 - r0)
-        return rows_block(self, r0, r1)
+    def recording_rows_block(self, r0, r1, *helper):
+        """Record each block by its first row, so the order of the calls does not matter."""
+        blocks.append((r0, r1 - r0))
+        return rows_block(self, r0, r1, *helper)
 
     block_pixels = block_rows * size + extra_pixels
     monkeypatch.setattr(resample.StackAlignment, "rows_block", recording_rows_block)
@@ -260,7 +270,8 @@ def test_resample_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, name,
     assert resample_artifacts(tmp_path / "blocked", name) == whole
     per_block = max(1, block_rows)
     full, ragged = divmod(size, per_block)
-    assert blocks == [per_block] * full + ([ragged] if ragged else [])
+    sizes = [per_block] * full + ([ragged] if ragged else [])
+    assert sorted(blocks) == [(i * per_block, n) for i, n in enumerate(sizes)]
 
 
 def test_resample_holds_less_than_half_the_cube_payload(tmp_path):
@@ -276,3 +287,167 @@ def test_resample_holds_less_than_half_the_cube_payload(tmp_path):
                         "--out", str(tmp_path / "cube.json")])
     payload_bytes = size * size * len(CANONICAL_ORDER) * 4
     assert peak < 0.5 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
+
+
+# ---------------------------------------------------------------------------
+# the helper thread
+
+
+class InlineExecutor(Executor):
+    """Runs each task at once in the calling thread: a serial stream."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as e:
+            future.set_exception(e)
+        return future
+
+
+def all_artifacts(directory):
+    """{file: bytes} of every streamed subcommand and of `import -> resample`
+    on both stacks."""
+    directory.mkdir()
+    cube, model = write_cube(directory, ROWS, COLS), write_model(directory)
+    out = artifacts(cube, model, directory / "maps")
+    for name in RESAMPLE_STACKS:
+        out.update({f"{name}/{k}": v
+                    for k, v in resample_artifacts(directory / name, name).items()})
+    return out
+
+
+@pytest.mark.parametrize("block_pixels", [
+    COLS,  # 23 blocks of the cube, 42 and 27 of the stacks
+    54,    # 8 blocks of the cube, 42 and 14 of the stacks
+])
+def test_threaded_bytes_equal_a_serial_run(tmp_path, monkeypatch, block_pixels):
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
+    threads = threading.active_count()
+    threaded = all_artifacts(tmp_path / "threaded")
+    assert threading.active_count() == threads
+    monkeypatch.setattr(resample, "ThreadPoolExecutor", InlineExecutor)
+    assert all_artifacts(tmp_path / "serial") == threaded
+
+
+def test_only_a_stream_with_a_second_block_starts_a_thread(tmp_path, monkeypatch):
+    made = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(resample, "ThreadPoolExecutor", CountingExecutor)
+    all_artifacts(tmp_path / "one-block")  # 391, 42² and 27² px: one block each
+    assert made == []
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)
+    all_artifacts(tmp_path / "blocks")
+    assert len(made) == len(commands(tmp_path, tmp_path, tmp_path)) + len(RESAMPLE_STACKS)
+
+
+@pytest.mark.parametrize("row, helper", [(0, True), (1, False)])
+def test_nonfinite_value_in_either_thread_leaves_no_file_and_no_thread(
+        tmp_path, monkeypatch, capsys, row, helper):
+    """With one-row blocks the helper computes the even rows and the calling
+    thread the odd ones; row 0 fails while the calling thread computes row 1."""
+    cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
+    payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4").reshape(ROWS, COLS, -1)
+    payload[row, COLS // 2, 5] = np.nan
+    payload.tofile(tmp_path / "cube.f32")
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)
+    failed_in = []
+    cube_of = resample._cube
+
+    def recording_cube(header, rows):
+        if not np.isfinite(rows).all():
+            failed_in.append(threading.current_thread() is not threading.main_thread())
+        return cube_of(header, rows)
+
+    monkeypatch.setattr(resample, "_cube", recording_cube)
+    out = tmp_path / "out"
+    out.mkdir()
+    threads = threading.active_count()
+    for argv in commands(cube, model, out):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"litterscan {argv[0]}: cube values must be finite\n"
+        assert threading.active_count() == threads
+    assert failed_in == [helper] * len(commands(cube, model, out))
+    assert list(out.iterdir()) == []
+
+
+def test_a_block_the_writer_rejects_leaves_no_file_and_no_thread(tmp_path, monkeypatch, capsys):
+    """The writer fails while the helper computes the next block: the stream
+    is closed and its thread stops before the command returns."""
+    cube = write_cube(tmp_path, ROWS, COLS)
+    payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4").reshape(ROWS, COLS, -1)
+    planes = {b: CANONICAL_ORDER.index(b) for b in ("B6", "B8", "B11")}
+    payload[3, :, [planes["B6"], planes["B8"]]] = 3e38  # FDI beyond float32's range
+    payload[3, :, planes["B11"]] = 0.0
+    payload.tofile(tmp_path / "cube.f32")
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)
+    out = tmp_path / "out"
+    out.mkdir()
+    threads = threading.active_count()
+    assert main(["index", "--cube", str(cube), "--method", "fdi",
+                 "--out", str(out / "fdi.f32")]) == 1
+    assert capsys.readouterr().err == "litterscan index: map values must be finite in float32\n"
+    assert threading.active_count() == threads
+    assert list(out.iterdir()) == []
+    # the writer closes the stream itself: the error, still held here, keeps it referenced
+    stream = resample.map_cube_rows(resample.read_cube_header(cube), indexes.fdi)
+    with pytest.raises(ValueError, match="finite in float32"):
+        raster_io.write_map(stream, ROWS, COLS, raster=out / "fdi.f32")
+    assert inspect.getgeneratorstate(stream) == inspect.GEN_CLOSED
+    assert threading.active_count() == threads
+
+
+def test_band_planes_are_each_filled_once_by_two_threads(monkeypatch):
+    """Both threads take planes from one iterator: under a very short switch
+    interval, every plane of every block is still computed exactly once."""
+    size = 30
+    rng = np.random.default_rng(2)
+    bands = []
+    for bid in CANONICAL_ORDER:
+        n = int(size * 10 // canonical_spec(bid).native_gsd_m)
+        bands.append(make_band(bid, rng.integers(0, 4096, (n, n))))
+    aligned = resample.StackAlignment(BandStack(tuple(bands), size * 10.0))
+    expect = [aligned.rows_block(r0, r0 + 1) for r0 in range(size)]
+    calls = []
+    resample_rows = resample._resample_rows
+
+    def counting_resample_rows(img, taps, r0, r1):
+        calls.append((r0, id(img)))
+        return resample_rows(img, taps, r0, r1)
+
+    monkeypatch.setattr(resample, "_resample_rows", counting_resample_rows)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for _ in range(5):
+                calls.clear()
+                got = [aligned.rows_block(r0, r0 + 1, helper) for r0 in range(size)]
+                assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+                assert sorted(calls) == sorted((r0, id(b.pixels)) for r0 in range(size)
+                                               for b in bands)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("failing, first", [((2, 3), 2), ((1, 2), 1), ((5,), 5)])
+def test_the_earliest_failing_block_gives_the_error(failing, first):
+    """Blocks 0, 2, 4 are the helper's and 1, 3, 5 this thread's; when both
+    threads fail, the error is the one a serial pass would raise."""
+    def fn(i):
+        if i in failing:
+            raise ValueError(f"block {i}")
+        return i
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        with pytest.raises(ValueError, match=f"block {first}"):
+            list(resample._in_order(fn, range(6), helper))
+        assert list(resample._in_order(lambda i: i, range(5), helper)) == list(range(5))
