@@ -57,14 +57,6 @@ def canonical_spec(band_id: str) -> BandSpec:
         raise ValueError(f"unknown band id {band_id!r}") from None
 
 
-def canonical_index(band_id: str) -> int:
-    """Position of a band in canonical B1..B12 order."""
-    try:
-        return CANONICAL_ORDER.index(band_id)
-    except ValueError:
-        raise ValueError(f"unknown band id {band_id!r}") from None
-
-
 def check_band_ids(ids: list[str], what: str) -> None:
     """Raise ValueError unless every id is a known band id, each at most once."""
     for i, band_id in enumerate(ids):

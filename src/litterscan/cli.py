@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import dataset, evaluation, indexes, mlp, raster_io, resample, synthetic
+from .bands import canonical_spec
 
 log = logging.getLogger("litterscan")
 
@@ -68,18 +69,18 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default=None,
                     help="training report JSON (default: <out>.report.json)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-iters", type=int, default=1000)
-    sp.add_argument("--val-failures", type=int, default=6)
-    sp.add_argument("--train-frac", type=float, default=0.70)
-    sp.add_argument("--val-frac", type=float, default=0.15)
-    sp.add_argument("--test-frac", type=float, default=0.15)
+    sp.add_argument("--max-iters", type=int, default=mlp.TrainConfig.max_iters)
+    sp.add_argument("--val-failures", type=int, default=mlp.TrainConfig.max_val_failures)
+    sp.add_argument("--train-frac", type=float, default=dataset.SplitSpec.train_frac)
+    sp.add_argument("--val-frac", type=float, default=dataset.SplitSpec.val_frac)
+    sp.add_argument("--test-frac", type=float, default=dataset.SplitSpec.test_frac)
 
     sp = sub.add_parser("predict", help="apply a model to a cube")
     sp.add_argument("--model", required=True)
     sp.add_argument("--cube", required=True)
     sp.add_argument("--out", required=True, help="PGM mask path")
     sp.add_argument("--map-out", default=None, help="raw-output float raster path")
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=float, default=mlp.SCORE_THRESHOLD)
 
     sp = sub.add_parser("eval", help="confusion matrix of two masks")
     sp.add_argument("--pred", required=True)
@@ -110,19 +111,11 @@ def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
         writes.add(real)
 
 
-def _map_outputs(raster: str | None, mask: str | None) -> list[str]:
-    """The files that `raster_io.write_map(..., raster, mask)` writes."""
-    return ([raster, raster + ".json"] if raster else []) + ([mask] if mask else [])
-
-
 def _cmd_import(args) -> None:
-    from .bands import canonical_spec
-
-    _check_outputs([path for _, path in args.band], [args.out])
-    bands = []
-    for bid, path in args.band:
-        bands.append(raster_io.import_pgm_band(path, canonical_spec(bid)))
-    stack = raster_io.BandStack(tuple(bands), args.extent_m)
+    payloads = [raster_io.stack_payload_path(args.out, bid) for bid, _ in args.band]
+    _check_outputs([path for _, path in args.band], [args.out, *payloads])
+    bands = tuple(raster_io.import_pgm_band(path, canonical_spec(bid)) for bid, path in args.band)
+    stack = raster_io.BandStack(bands, args.extent_m)
     raster_io.save_stack(stack, args.out)
     log.info("wrote stack with %d band(s) to %s", len(stack.bands), args.out)
 
@@ -155,7 +148,7 @@ def _cmd_index(args) -> None:
         index = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[args.method]
         raster = args.out
         mask = None if args.threshold is None else args.mask_out or args.out + ".mask.pgm"
-    _check_outputs([args.cube, header.payload], _map_outputs(raster, mask))
+    _check_outputs([args.cube, header.payload], raster_io.map_paths(raster, mask))
     raster_io.write_map(resample.map_cube_rows(header, index), header.rows, header.cols,
                         raster, mask, args.threshold)
 
@@ -181,7 +174,7 @@ def _cmd_train(args) -> None:
     model = mlp.init_model(args.seed, norm, cube.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
-    test_pred = mlp.forward_batch(model, test_set.features) >= 0.5
+    test_pred = mlp.forward_batch(model, test_set.features) >= mlp.SCORE_THRESHOLD
     cm = evaluation.confusion(test_pred, test_set.labels)
     test_metrics = evaluation.metrics(cm)
     log.info("test error rate: %.3f%%", 100.0 * test_metrics["error_rate"])
@@ -199,11 +192,12 @@ def _cmd_train(args) -> None:
 def _cmd_predict(args) -> None:
     indexes.check_threshold(args.threshold)
     header = resample.read_cube_header(args.cube)
-    _check_outputs([args.model, args.cube, header.payload], _map_outputs(args.map_out, args.out))
+    map_out = args.map_out or None
+    _check_outputs([args.model, args.cube, header.payload], raster_io.map_paths(map_out, args.out))
     model = mlp.load_model(args.model)
     raster_io.write_map(
         resample.map_cube_rows(header, functools.partial(mlp.predict_map, model)),
-        header.rows, header.cols, args.map_out or None, args.out, args.threshold)
+        header.rows, header.cols, map_out, args.out, args.threshold)
 
 
 def _cmd_eval(args) -> None:

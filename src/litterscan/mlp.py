@@ -36,6 +36,7 @@ N_HIDDEN = 10
 N_PARAMS = (N_FEATURES + 1) * N_HIDDEN + (N_HIDDEN + 1)  # 151
 MODEL_SCHEMA_VERSION = 1
 ACTIVATIONS = ("tanh", "logistic")  # hidden, output; the only pair supported
+SCORE_THRESHOLD = 0.5  # a pixel scored at or above it is plastic: predict's default
 
 CG_RESTART_EVERY = N_PARAMS
 ARMIJO_INITIAL_STEP = 1.0

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .bands import BandSpec, canonical_index
+from .bands import CANONICAL_ORDER, BandSpec, check_band_ids
 
 
 # Pixels per row block (one row when a row is wider): the most of a raster
@@ -40,13 +40,12 @@ def row_ranges(rows: int, cols: int) -> Iterator[tuple[int, int]]:
     return ((r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
-def _write(files: dict[str, tuple[bytes, Callable]], values, finite: bool = False) -> None:
+def _write(files: dict[str, tuple[bytes, Callable]], values) -> None:
     """Write each file's header, then each row block of `values` (an array
     or an iterable of blocks) as the file's encoder makes it, to temp files
     that are renamed into place only when all are complete: a failure leaves
     none of them, and a generator of blocks is closed before the error is
-    raised. With `finite`, a block holding a non-finite value fails.
-    An OS error names the output, not its temp file."""
+    raised. An OS error names the output, not its temp file."""
     blocks = values if not isinstance(values, np.ndarray) else (
         values[r0:r1] for r0, r1 in row_ranges(*values.shape[:2]))
     paths = tuple(files)
@@ -60,8 +59,6 @@ def _write(files: dict[str, tuple[bytes, Callable]], values, finite: bool = Fals
                 outs.append(stack.enter_context(open(tmp, "xb")))  # 0o666 less the umask
                 outs[-1].write(header)
             for block in blocks:
-                if finite and not np.isfinite(block).all():
-                    raise ValueError("map values must be finite")
                 for out, (_, encode) in zip(outs, files.values()):
                     out.write(encode(block))
                 del block  # not held while the next block is built
@@ -94,6 +91,27 @@ def _f4(block: np.ndarray) -> np.ndarray:
     return f4
 
 
+def _pgm(threshold: float | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The mask encoder, one byte per pixel whatever the block's dtype: 255
+    where the block is >= `threshold` or, when `threshold` is None, where
+    the {0, 1} labels are 1. A block to be thresholded must be finite, so
+    that no NaN becomes a 0 unseen."""
+    def encode(block: np.ndarray) -> np.ndarray:
+        if threshold is None:
+            return (block != 0) * np.uint8(255)
+        if not np.isfinite(block).all():
+            raise ValueError("map values must be finite")
+        return (block >= threshold) * np.uint8(255)
+    return encode
+
+
+def map_paths(raster=None, mask=None) -> list[str]:
+    """The files that `write_map(..., raster, mask)` writes, in order: the
+    float raster and its `<raster>.json` sidecar, then the mask."""
+    paths = [] if raster is None else [os.fspath(raster), os.fspath(raster) + ".json"]
+    return paths + ([] if mask is None else [os.fspath(mask)])
+
+
 def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
               raster=None, mask=None, threshold: float | None = None) -> None:
     """Write a rows x cols map, an array or its row blocks, in one pass: as
@@ -102,16 +120,13 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
     {0, 1} labels when `threshold` is None. When it writes a raster or
     applies a threshold, a value that is not finite (in float32, for a
     raster) in any block raises ValueError and no file is left."""
-    files = {}
+    encoders = []
     if raster is not None:
-        files[os.fspath(raster)] = (b"", _f4)
         sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
-        files[os.fspath(raster) + ".json"] = (sidecar, lambda b: b"")  # header only
-    if mask is not None:  # one byte per pixel, whatever the labels' dtype
-        files[os.fspath(mask)] = (f"P5\n{cols} {rows}\n255\n".encode("ascii"), lambda b: (
-            b != 0 if threshold is None else b >= threshold) * np.uint8(255))
-    # with a raster, `_f4` checks each block as it encodes it
-    _write(files, blocks, finite=raster is None and threshold is not None)
+        encoders += [(b"", _f4), (sidecar, lambda b: b"")]  # the sidecar is header only
+    if mask is not None:
+        encoders.append((f"P5\n{cols} {rows}\n255\n".encode("ascii"), _pgm(threshold)))
+    _write(dict(zip(map_paths(raster, mask), encoders)), blocks)
 
 
 def write_json(path: str | os.PathLike, doc) -> None:
@@ -212,10 +227,8 @@ class BandStack:
             raise ValueError("stack has no bands")
         if not self.extent_m > 0:  # also rejects NaN
             raise ValueError("extent_m must be positive")
-        ids = [b.spec.id for b in self.bands]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate band id in stack: {ids}")
-        ordered = tuple(sorted(self.bands, key=lambda b: canonical_index(b.spec.id)))
+        check_band_ids([b.spec.id for b in self.bands], "stack")
+        ordered = tuple(sorted(self.bands, key=lambda b: CANONICAL_ORDER.index(b.spec.id)))
         object.__setattr__(self, "bands", ordered)
         for b in ordered:
             for n, what in ((b.rows, "rows"), (b.cols, "cols")):
@@ -265,22 +278,25 @@ def load_stack(manifest_path: str | os.PathLike) -> BandStack:
     return BandStack(tuple(bands), extent_m)
 
 
+def stack_payload_path(manifest_path: str | os.PathLike, band_id: str) -> str:
+    """The payload file of band `band_id` that `save_stack` writes beside a
+    stack manifest: `<stem>_<band_id>.u16`."""
+    return f"{os.path.splitext(manifest_path)[0]}_{band_id}.u16"
+
+
 def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
     """Write manifest + one raw u16le payload per band next to it."""
-    manifest_path = os.fspath(manifest_path)
-    base = os.path.dirname(manifest_path)
-    stem = os.path.splitext(os.path.basename(manifest_path))[0]
     entries = []
     for b in stack.bands:
-        fname = f"{stem}_{b.spec.id}.u16"
-        atomic_write(os.path.join(base, fname), b"", b.pixels, "<u2")
+        payload = stack_payload_path(manifest_path, b.spec.id)
+        atomic_write(payload, b"", b.pixels, "<u2")
         entries.append({
             "id": b.spec.id,
             "wavelength_nm": b.spec.wavelength_nm,
             "native_gsd_m": b.spec.native_gsd_m,
             "rows": b.rows,
             "cols": b.cols,
-            "file": fname,
+            "file": os.path.basename(payload),
             "dtype": "u16le",
         })
     doc = {"extent_m": stack.extent_m, "bands": entries}
@@ -354,7 +370,7 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def read_float_raster(path: str | os.PathLike) -> np.ndarray:
-    sidecar = os.fspath(path) + ".json"
+    path, sidecar = map_paths(path)
     rows, cols = read_dims(read_json_object(sidecar, "float raster sidecar"),
                            f"float raster sidecar {sidecar}", "rows", "cols")
     data = read_payload(path, "<f4", rows * cols, "float raster")

@@ -43,8 +43,8 @@ def plastic_mask(rows: int, cols: int, plastic_frac: float) -> np.ndarray:
     return mask
 
 
-def make_scene(rows: int = 100, cols: int = 100, plastic_frac: float = 0.15,
-               seed: int = 0) -> tuple[AlignedCube, np.ndarray]:
+def make_scene(rows: int, cols: int, plastic_frac: float,
+               seed: int) -> tuple[AlignedCube, np.ndarray]:
     """Gaussian per-band values around the class mean of each pixel."""
     mask = plastic_mask(rows, cols, plastic_frac)
     mean_bg, mean_pl = class_means()

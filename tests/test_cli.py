@@ -11,8 +11,7 @@ from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import (BandStack, read_float_raster, read_json_object, read_mask,
                                  save_stack, write_mask)
-from litterscan.resample import load_cube, save_cube
-from litterscan.synthetic import make_scene
+from litterscan.resample import load_cube
 
 
 def run(*argv):
@@ -380,8 +379,9 @@ def tree_bytes(directory):
     return {p.name: p.read_bytes() if p.is_file() else None for p in sorted(directory.iterdir())}
 
 
-# Each case: argv under tmp_path (holding the 40² scene, model.json and a
-# stack manifest saved as both stack.json and stack.f32) whose outputs clash with an input or with each other.
+# Each case: argv under tmp_path (holding the 40² scene, model.json, a stack
+# manifest saved as both stack.json and stack.f32, and a 6² PGM s_B2.u16)
+# whose outputs clash with an input or with each other.
 PATH_CLASHES = {
     "predict_map_out_is_cube_payload": (
         ["predict", "--model", "model.json", "--cube", "scene.cube.json",
@@ -409,6 +409,9 @@ PATH_CLASHES = {
         "would overwrite an input"),
     "resample_payload_is_manifest": (
         ["resample", "--manifest", "stack.f32", "--out", "stack.json"],
+        "would overwrite an input"),
+    "import_payload_is_input": (
+        ["import", "--band", "B2=s_B2.u16", "--extent-m", "60", "--out", "s.json"],
         "would overwrite an input"),
     "predict_out_twice": (
         ["predict", "--model", "model.json", "--cube", "scene.cube.json",
@@ -439,6 +442,7 @@ def test_output_path_clash_is_rejected(tmp_path, scene, model_path, monkeypatch,
                                        case):
     for name in ("stack.json", "stack.f32"):
         save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), tmp_path / name)
+    write_mask(np.eye(6, dtype=bool), tmp_path / "s_B2.u16")
     (tmp_path / "link.f32").symlink_to(tmp_path / "scene.cube.f32")
     monkeypatch.chdir(tmp_path)
     before = tree_bytes(tmp_path)

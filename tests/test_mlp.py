@@ -14,7 +14,6 @@ from litterscan.mlp import (
     _logistic,
     MlpModel,
     TrainConfig,
-    TrainReport,
     flatten_weights,
     forward,
     forward_batch,

@@ -1,6 +1,7 @@
 """Property tests for every container reader: any input yields a valid object
 or a ValueError, never another exception. At the command line, `predict` on
-any model document and `eval` on any PGM exit 0, or exit 1 with one error
+any model document or cube manifest, `index` on any cube manifest, `resample`
+on any stack manifest and `eval` on any PGM exit 0, or exit 1 with one error
 line and no output.
 
 Documents are arbitrary bytes, arbitrary JSON values, or a valid document
@@ -176,3 +177,62 @@ def test_predict_exits_0_or_fails_in_one_line(tmp_path, capsys, model):
                  "--out", str(out / "p.pgm"), "--map-out", str(out / "s.f32")])
     assert_exits_0_or_fails_in_one_line(capsys, code, "predict", out,
                                         ["p.pgm", "s.f32", "s.f32.json"])
+
+
+CUBE = {"rows": 2, "cols": 3, "bands": list(CANONICAL_ORDER), "dtype": "f32le",
+        "file": "c.f32"}
+
+
+def write_cube(tmp_path, manifest: bytes):
+    """`manifest` at c.json beside c.f32, the payload of a 2x3 cube of CANONICAL_ORDER."""
+    values = np.linspace(0.0, 1.0, 2 * 3 * 13, dtype="<f4")
+    (tmp_path / "c.f32").write_bytes(values.tobytes())
+    (tmp_path / "c.json").write_bytes(manifest)
+    return tmp_path / "c.json"
+
+
+@FUZZ
+@given(manifest=documents(CUBE))
+def test_predict_on_any_cube_manifest_exits_0_or_fails_in_one_line(tmp_path, capsys, manifest):
+    cube = write_cube(tmp_path, manifest)
+    (tmp_path / "m.json").write_text(json.dumps(MODEL))
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    code = main(["predict", "--model", str(tmp_path / "m.json"), "--cube", str(cube),
+                 "--out", str(out / "p.pgm"), "--map-out", str(out / "s.f32")])
+    assert_exits_0_or_fails_in_one_line(capsys, code, "predict", out,
+                                        ["p.pgm", "s.f32", "s.f32.json"])
+
+
+# method -> (its output flags, the files they write)
+INDEX_OUTPUTS = {
+    "combined": (["--ndvi-max", "0.2", "--fdi-min", "0", "--out", "i.pgm"], ["i.pgm"]),
+    **{method: (["--out", "i.f32", "--threshold", "0", "--mask-out", "i.pgm"],
+                ["i.f32", "i.f32.json", "i.pgm"]) for method in ("b8b9", "fdi", "ndvi")},
+}
+
+
+@FUZZ
+@given(manifest=documents(CUBE), method=st.sampled_from(sorted(INDEX_OUTPUTS)))
+def test_index_on_any_cube_manifest_exits_0_or_fails_in_one_line(tmp_path, capsys, monkeypatch,
+                                                                 manifest, method):
+    cube = write_cube(tmp_path, manifest)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    monkeypatch.chdir(out)
+    flags, written = INDEX_OUTPUTS[method]
+    code = main(["index", "--cube", str(cube), "--method", method, *flags])
+    assert_exits_0_or_fails_in_one_line(capsys, code, "index", out, written)
+
+
+@FUZZ
+@given(manifest=documents({"extent_m": 20.0, "bands": st.tuples(mutated(BAND)).map(list)}))
+def test_resample_on_any_stack_manifest_exits_0_or_fails_in_one_line(tmp_path, capsys,
+                                                                     manifest):
+    (tmp_path / "s_B8.u16").write_bytes(bytes(range(8)))
+    (tmp_path / "s.json").write_bytes(manifest)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    code = main(["resample", "--manifest", str(tmp_path / "s.json"),
+                 "--out", str(out / "c.json")])
+    assert_exits_0_or_fails_in_one_line(capsys, code, "resample", out, ["c.f32", "c.json"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_band, make_cube, oracle_lanczos3, oracle_resample
+from conftest import make_band, oracle_lanczos3, oracle_resample
 from litterscan.raster_io import BandStack
 from litterscan.resample import (
     AlignedCube,
