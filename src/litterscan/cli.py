@@ -37,8 +37,13 @@ def _band_arg(value: str) -> tuple[str, str]:
     return bid, path
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit status 1, like every other failure
+        self.exit(1, f"{self.prog}: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="litterscan")
+    p = _Parser(prog="litterscan")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("import", help="build a band-stack container from PGM files")
@@ -97,23 +102,7 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
-    """Raise ValueError if two outputs, or an output and an input, are one
-    file (symlinks resolved). Called before anything is written."""
-    reads = {os.path.realpath(p) for p in inputs}
-    writes = set()
-    for path in outputs:
-        real = os.path.realpath(path)
-        if real in reads:
-            raise ValueError(f"output {path} would overwrite an input")
-        if real in writes:
-            raise ValueError(f"output {path} would be written twice")
-        writes.add(real)
-
-
 def _cmd_import(args) -> None:
-    payloads = [raster_io.stack_payload_path(args.out, bid) for bid, _ in args.band]
-    _check_outputs([path for _, path in args.band], [args.out, *payloads])
     bands = tuple(raster_io.import_pgm_band(path, canonical_spec(bid)) for bid, path in args.band)
     stack = raster_io.BandStack(bands, args.extent_m)
     raster_io.save_stack(stack, args.out)
@@ -121,7 +110,6 @@ def _cmd_import(args) -> None:
 
 
 def _cmd_resample(args) -> None:
-    _check_outputs([args.manifest], [args.out, resample.cube_payload_path(args.out)])
     aligned = resample.StackAlignment(raster_io.load_stack(args.manifest))
     resample.save_cube(aligned, args.out)
     log.info("aligned %d band(s) to %dx%d", len(aligned.band_ids), aligned.rows, aligned.cols)
@@ -148,15 +136,11 @@ def _cmd_index(args) -> None:
         index = {"ndvi": indexes.ndvi, "fdi": indexes.fdi, "b8b9": indexes.b8b9_index}[args.method]
         raster = args.out
         mask = None if args.threshold is None else args.mask_out or args.out + ".mask.pgm"
-    _check_outputs([args.cube, header.payload], raster_io.map_paths(raster, mask))
     raster_io.write_map(resample.map_cube_rows(header, index), header.rows, header.cols,
                         raster, mask, args.threshold)
 
 
 def _cmd_train(args) -> None:
-    report_path = args.report or args.out + ".report.json"
-    _check_outputs([args.cube, resample.read_cube_header(args.cube).payload, args.mask],
-                   [args.out, report_path])
     cube = resample.load_cube(args.cube)
     truth = raster_io.read_mask(args.mask)
     samples = dataset.extract_samples(cube, truth)
@@ -180,28 +164,24 @@ def _cmd_train(args) -> None:
     log.info("test error rate: %.3f%%", 100.0 * test_metrics["error_rate"])
 
     mlp.save_model(model, args.out)
-    full_report = {
+    raster_io.write_json(args.report or args.out + ".report.json", {
         "dataset": dataset.dataset_report(balanced),
         "split": {"train": len(train_set), "val": len(val_set), "test": len(test_set)},
         "training": dataclasses.asdict(report),
         "test": test_metrics,
-    }
-    raster_io.write_json(report_path, full_report)
+    })
 
 
 def _cmd_predict(args) -> None:
     indexes.check_threshold(args.threshold)
     header = resample.read_cube_header(args.cube)
-    map_out = args.map_out or None
-    _check_outputs([args.model, args.cube, header.payload], raster_io.map_paths(map_out, args.out))
     model = mlp.load_model(args.model)
     raster_io.write_map(
         resample.map_cube_rows(header, functools.partial(mlp.predict_map, model)),
-        header.rows, header.cols, map_out, args.out, args.threshold)
+        header.rows, header.cols, args.map_out or None, args.out, args.threshold)
 
 
 def _cmd_eval(args) -> None:
-    _check_outputs([args.pred, args.truth], [args.out])
     pred = raster_io.read_mask(args.pred)
     truth = raster_io.read_mask(args.truth)
     cm = evaluation.confusion(pred, truth)
@@ -210,10 +190,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_make_synthetic(args) -> None:
-    _check_outputs([], [args.out_cube, resample.cube_payload_path(args.out_cube),
-                        args.out_mask])
-    cube, mask = synthetic.make_scene(args.rows, args.cols, args.plastic_frac,
-                                      args.seed)
+    cube, mask = synthetic.make_scene(args.rows, args.cols, args.plastic_frac, args.seed)
     resample.save_cube(cube, args.out_cube)
     raster_io.write_mask(mask, args.out_mask)
 
@@ -233,8 +210,9 @@ def main(argv=None) -> int:
     _setup_logging()
     args = _parser().parse_args(argv)
     try:
-        _COMMANDS[args.subcommand](args)
-    except (ValueError, OSError, ArithmeticError, KeyError) as e:
+        with raster_io.commit():  # all of the command's outputs, or none
+            _COMMANDS[args.subcommand](args)
+    except (ValueError, OSError, ArithmeticError, KeyError, MemoryError) as e:
         print(f"litterscan {args.subcommand}: {e}", file=sys.stderr)
         return 1
     return 0

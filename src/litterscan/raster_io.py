@@ -10,10 +10,12 @@ Formats:
     sidecar ``{"rows": ..., "cols": ...}`` at ``<path>.json``.
 
 Files are written in row blocks to temp files in the target directory that
-are renamed into place only when all of one write's files are complete, so a
-failed write never leaves a partial artifact. `write_map` writes an index or
-score map and/or its mask in one pass as its blocks are computed, and it is
-where a map's values are checked: a non-finite one fails the write.
+are renamed into place only when their `commit` ends without error, so a
+failure leaves no partial artifact. The command line runs each subcommand in
+one commit, which also refuses to write over an input or one file twice.
+`write_map` writes an index or score map and/or its mask in one pass as its
+blocks are computed, and it is where a map's values are checked: a
+non-finite one fails the write.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,37 +42,86 @@ def row_ranges(rows: int, cols: int) -> Iterator[tuple[int, int]]:
     return ((r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
-def _write(files: dict[str, tuple[bytes, Callable]], values) -> None:
-    """Write each file's header, then each row block of `values` (an array
-    or an iterable of blocks) as the file's encoder makes it, to temp files
-    that are renamed into place only when all are complete: a failure leaves
-    none of them, and a generator of blocks is closed before the error is
-    raised. An OS error names the output, not its temp file."""
+# The open commit: the real paths it read (None when none is open), and real
+# path -> (output, temp file) of each file it staged, in order. One thread opens files.
+_reads: set[str] | None = None
+_staged: dict[str, tuple[str, str]] = {}
+
+
+def _naming(path: str, call: Callable, *args):
+    """call(*args), whose OSError names the output `path`, not its temp file."""
+    try:
+        return call(*args)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+
+
+@contextlib.contextmanager
+def commit() -> Iterator[None]:
+    """Stage every file written in the block as a temp file beside its
+    output, and rename them all into place when the block ends without
+    error: on any error none is renamed and no temp file is left. A commit
+    entered inside another joins it. In a commit, writing a file already
+    read or written (symlinks resolved) raises ValueError before its temp
+    file opens, and so does reading a file already staged."""
+    global _reads
+    if _reads is not None:
+        yield
+        return
+    _reads, renamed = set(), 0
+    try:
+        yield
+        for path, tmp in _staged.values():
+            _naming(path, os.replace, tmp, path)
+            renamed += 1
+    except BaseException:
+        for i, (path, tmp) in enumerate(_staged.values()):
+            os.unlink(path if i < renamed else tmp)
+        raise
+    finally:
+        _reads = None
+        _staged.clear()
+
+
+def _note_read(path: str | os.PathLike) -> None:
+    """Note in the open commit that `path` is read: an input may not be written."""
+    if _reads is not None:
+        real = os.path.realpath(path)
+        if real in _staged:
+            raise ValueError(f"output {os.fspath(path)} would overwrite an input")
+        _reads.add(real)
+
+
+def _stage(path: str | os.PathLike) -> BinaryIO:
+    """A new temp file in the open commit that becomes `path` when it ends."""
+    path = os.fspath(path)
+    real = os.path.realpath(path)
+    if real in _reads or real in _staged:
+        clash = "overwrite an input" if real in _reads else "be written twice"
+        raise ValueError(f"output {path} would {clash}")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
+    out = _naming(path, open, tmp, "xb")  # 0o666 less the umask
+    _staged[real] = (path, tmp)
+    return out
+
+
+def _write(files: list[tuple[str, bytes, Callable]], values) -> None:
+    """Stage each of `files`, (path, header, encoder), in a commit: its
+    header, then each row block of `values` (an array or an iterable of
+    blocks) as its encoder makes it. The temp files, and a generator of
+    blocks, are closed when the writing ends or fails."""
     blocks = values if not isinstance(values, np.ndarray) else (
         values[r0:r1] for r0, r1 in row_ranges(*values.shape[:2]))
-    paths = tuple(files)
-    tmps = tuple(os.path.join(os.path.dirname(p), f".tmp-{os.urandom(8).hex()}~") for p in paths)
-    outs, renamed = [], 0
-    try:
-        with contextlib.ExitStack() as stack:
-            if hasattr(blocks, "close"):  # a stream stops its threads when closed
-                stack.callback(blocks.close)
-            for tmp, (header, _) in zip(tmps, files.values()):
-                outs.append(stack.enter_context(open(tmp, "xb")))  # 0o666 less the umask
-                outs[-1].write(header)
-            for block in blocks:
-                for out, (_, encode) in zip(outs, files.values()):
-                    out.write(encode(block))
-                del block  # not held while the next block is built
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-            renamed += 1
-    except BaseException as e:
-        for leftover in paths[:renamed] + tmps[renamed:len(outs)]:
-            os.unlink(leftover)
-        if isinstance(e, OSError) and e.filename in tmps:
-            raise OSError(e.errno, e.strerror, paths[tmps.index(e.filename)]) from None
-        raise
+    with commit(), contextlib.ExitStack() as stack:
+        if hasattr(blocks, "close"):  # a stream stops its threads when closed
+            stack.callback(blocks.close)
+        outs = [stack.enter_context(_stage(path)) for path, _, _ in files]
+        for out, (_, header, _) in zip(outs, files):
+            out.write(header)
+        for block in blocks:
+            for out, (_, _, encode) in zip(outs, files):
+                out.write(encode(block))
+            del block  # not held while the next block is built
 
 
 def atomic_write(path: str | os.PathLike, header: bytes,
@@ -78,7 +129,7 @@ def atomic_write(path: str | os.PathLike, header: bytes,
     """Write `header`, then `values` in row-major order as `dtype`, to `path`.
     `values` is an array, converted one row block at a time, or an iterable
     of row blocks, each converted as it comes."""
-    _write({os.fspath(path): (header, lambda b: np.ascontiguousarray(b, dtype=dtype))}, values)
+    _write([(path, header, lambda b: np.ascontiguousarray(b, dtype=dtype))], values)
 
 
 def _f4(block: np.ndarray) -> np.ndarray:
@@ -105,13 +156,6 @@ def _pgm(threshold: float | None) -> Callable[[np.ndarray], np.ndarray]:
     return encode
 
 
-def map_paths(raster=None, mask=None) -> list[str]:
-    """The files that `write_map(..., raster, mask)` writes, in order: the
-    float raster and its `<raster>.json` sidecar, then the mask."""
-    paths = [] if raster is None else [os.fspath(raster), os.fspath(raster) + ".json"]
-    return paths + ([] if mask is None else [os.fspath(mask)])
-
-
 def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
               raster=None, mask=None, threshold: float | None = None) -> None:
     """Write a rows x cols map, an array or its row blocks, in one pass: as
@@ -120,13 +164,14 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
     {0, 1} labels when `threshold` is None. When it writes a raster or
     applies a threshold, a value that is not finite (in float32, for a
     raster) in any block raises ValueError and no file is left."""
-    encoders = []
+    files = []
     if raster is not None:
         sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
-        encoders += [(b"", _f4), (sidecar, lambda b: b"")]  # the sidecar is header only
+        files += [(raster, b"", _f4),  # the sidecar is header only
+                  (f"{os.fspath(raster)}.json", sidecar, lambda b: b"")]
     if mask is not None:
-        encoders.append((f"P5\n{cols} {rows}\n255\n".encode("ascii"), _pgm(threshold)))
-    _write(dict(zip(map_paths(raster, mask), encoders)), blocks)
+        files.append((mask, f"P5\n{cols} {rows}\n255\n".encode("ascii"), _pgm(threshold)))
+    _write(files, blocks)
 
 
 def write_json(path: str | os.PathLike, doc) -> None:
@@ -142,6 +187,7 @@ def _reject_constant(name: str):
 def read_json_object(path: str | os.PathLike, what: str) -> dict:
     """Parse a UTF-8 JSON file that must hold an object; NaN and Infinity are not JSON."""
     path = os.fspath(path)
+    _note_read(path)
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f, parse_constant=_reject_constant)
@@ -164,6 +210,7 @@ def read_dims(doc: dict, what: str, *keys: str) -> tuple[int, ...]:
 def check_payload_size(path: str | os.PathLike, dtype, count: int, what: str) -> None:
     """Raise ValueError unless the file at `path` holds exactly `count`
     samples of `dtype`."""
+    _note_read(path)
     n, stray = divmod(os.path.getsize(path), np.dtype(dtype).itemsize)
     if (n, stray) != (count, 0):
         extra = f" and {stray} stray bytes" if stray else ""
@@ -278,35 +325,25 @@ def load_stack(manifest_path: str | os.PathLike) -> BandStack:
     return BandStack(tuple(bands), extent_m)
 
 
-def stack_payload_path(manifest_path: str | os.PathLike, band_id: str) -> str:
-    """The payload file of band `band_id` that `save_stack` writes beside a
-    stack manifest: `<stem>_<band_id>.u16`."""
-    return f"{os.path.splitext(manifest_path)[0]}_{band_id}.u16"
-
-
 def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
-    """Write manifest + one raw u16le payload per band next to it."""
-    entries = []
-    for b in stack.bands:
-        payload = stack_payload_path(manifest_path, b.spec.id)
-        atomic_write(payload, b"", b.pixels, "<u2")
-        entries.append({
-            "id": b.spec.id,
-            "wavelength_nm": b.spec.wavelength_nm,
-            "native_gsd_m": b.spec.native_gsd_m,
-            "rows": b.rows,
-            "cols": b.cols,
-            "file": os.path.basename(payload),
-            "dtype": "u16le",
-        })
-    doc = {"extent_m": stack.extent_m, "bands": entries}
-    write_json(manifest_path, doc)
+    """Write manifest + one raw u16le payload per band next to it,
+    `<stem>_<band id>.u16`, in one commit."""
+    with commit():
+        entries = []
+        for b in stack.bands:
+            payload = f"{os.path.splitext(manifest_path)[0]}_{b.spec.id}.u16"
+            atomic_write(payload, b"", b.pixels, "<u2")
+            entries.append({"id": b.spec.id, "wavelength_nm": b.spec.wavelength_nm,
+                            "native_gsd_m": b.spec.native_gsd_m, "rows": b.rows, "cols": b.cols,
+                            "file": os.path.basename(payload), "dtype": "u16le"})
+        write_json(manifest_path, {"extent_m": stack.extent_m, "bands": entries})
 
 
 # ---------------------------------------------------------------------------
 # PGM
 
 def _read_pgm(path: str | os.PathLike) -> np.ndarray:
+    _note_read(path)
     with open(path, "rb") as f:
         raw = f.read()
     if not raw.startswith(b"P5"):
@@ -370,7 +407,7 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def read_float_raster(path: str | os.PathLike) -> np.ndarray:
-    path, sidecar = map_paths(path)
+    sidecar = f"{os.fspath(path)}.json"
     rows, cols = read_dims(read_json_object(sidecar, "float raster sidecar"),
                            f"float raster sidecar {sidecar}", "rows", "cols")
     data = read_payload(path, "<f4", rows * cols, "float raster")

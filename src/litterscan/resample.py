@@ -22,7 +22,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 import numpy as np
 
 from .bands import check_band_ids
-from .raster_io import (Band, BandStack, atomic_write, check_payload_size, read_dims,
+from .raster_io import (Band, BandStack, atomic_write, check_payload_size, commit, read_dims,
                         read_json_object, row_ranges, write_json)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
@@ -187,26 +187,16 @@ def align_stack(stack: BandStack) -> AlignedCube:
 # ---------------------------------------------------------------------------
 # cube container: f32le payload (row-major, band-interleaved) + JSON manifest
 
-def cube_payload_path(manifest_path: str | os.PathLike) -> str:
-    """The payload file that `save_cube` writes beside a cube manifest."""
-    manifest_path = os.fspath(manifest_path)
-    payload = os.path.splitext(manifest_path)[0] + ".f32"
-    if payload == manifest_path:
-        raise ValueError(f"cube manifest {manifest_path} would be overwritten by its "
-                         "payload; give it a name that does not end in .f32")
-    return payload
-
-
 def save_cube(cube: AlignedCube | StackAlignment, manifest_path: str | os.PathLike) -> None:
-    """Write the payload, then the manifest. A StackAlignment is resampled
-    and written one row block at a time."""
-    payload = cube_payload_path(manifest_path)
+    """Write the payload `<stem>.f32`, then the manifest, in one commit. A
+    StackAlignment is resampled and written one row block at a time."""
+    payload = os.path.splitext(manifest_path)[0] + ".f32"
     values = cube.values if isinstance(cube, AlignedCube) else cube.blocks()
-    atomic_write(payload, b"", values, "<f4")
-    write_json(manifest_path, {
-        "rows": cube.rows, "cols": cube.cols,
-        "bands": list(cube.band_ids), "dtype": "f32le", "file": os.path.basename(payload),
-    })
+    with commit():
+        atomic_write(payload, b"", values, "<f4")
+        write_json(manifest_path, {"rows": cube.rows, "cols": cube.cols,
+                                   "bands": list(cube.band_ids), "dtype": "f32le",
+                                   "file": os.path.basename(payload)})
 
 
 @dataclass(frozen=True)

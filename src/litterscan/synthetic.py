@@ -28,6 +28,10 @@ def class_means() -> tuple[np.ndarray, np.ndarray]:
 def plastic_mask(rows: int, cols: int, plastic_frac: float) -> np.ndarray:
     """Bool mask: a centered rectangular patch covering round(frac * rows *
     cols) pixels."""
+    if not (rows > 0 and cols > 0):
+        raise ValueError("rows and cols must be positive")
+    if not 0 < plastic_frac < 1:
+        raise ValueError("plastic fraction must lie in (0, 1)")
     n = rows * cols
     k = int(round(plastic_frac * n))
     if not 0 < k < n:

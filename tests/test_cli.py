@@ -352,7 +352,7 @@ def test_cube_manifest_named_like_its_payload_is_rejected(tmp_path, capsys, cmd)
                                "--rows", "4", "--cols", "4"],
             "resample": ["--manifest", str(manifest), "--out", str(out)]}[cmd]
     assert run(cmd, *argv) == 1
-    assert_one_line_failure(capsys, cmd, out, "overwritten by its payload")
+    assert_one_line_failure(capsys, cmd, out, "would be written twice")
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -380,8 +380,9 @@ def tree_bytes(directory):
 
 
 # Each case: argv under tmp_path (holding the 40² scene, model.json, a stack
-# manifest saved as both stack.json and stack.f32, and a 6² PGM s_B2.u16)
-# whose outputs clash with an input or with each other.
+# manifest saved as both stack.json and stack.f32, a 6² PGM s_B2.u16, and a
+# stack manifest band.json whose band payload is cube.f32) whose outputs
+# clash with an input or with each other.
 PATH_CLASHES = {
     "predict_map_out_is_cube_payload": (
         ["predict", "--model", "model.json", "--cube", "scene.cube.json",
@@ -409,6 +410,9 @@ PATH_CLASHES = {
         "would overwrite an input"),
     "resample_payload_is_manifest": (
         ["resample", "--manifest", "stack.f32", "--out", "stack.json"],
+        "would overwrite an input"),
+    "resample_out_is_band_payload": (
+        ["resample", "--manifest", "band.json", "--out", "cube.json"],
         "would overwrite an input"),
     "import_payload_is_input": (
         ["import", "--band", "B2=s_B2.u16", "--extent-m", "60", "--out", "s.json"],
@@ -443,6 +447,11 @@ def test_output_path_clash_is_rejected(tmp_path, scene, model_path, monkeypatch,
     for name in ("stack.json", "stack.f32"):
         save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), tmp_path / name)
     write_mask(np.eye(6, dtype=bool), tmp_path / "s_B2.u16")
+    save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), tmp_path / "band.json")
+    (tmp_path / "band_B8.u16").rename(tmp_path / "cube.f32")
+    stack = json.loads((tmp_path / "band.json").read_text())
+    stack["bands"][0]["file"] = "cube.f32"
+    (tmp_path / "band.json").write_text(json.dumps(stack))
     (tmp_path / "link.f32").symlink_to(tmp_path / "scene.cube.f32")
     monkeypatch.chdir(tmp_path)
     before = tree_bytes(tmp_path)
@@ -454,9 +463,10 @@ def test_output_path_clash_is_rejected(tmp_path, scene, model_path, monkeypatch,
     assert tree_bytes(tmp_path) == before
 
 
-# Each case: argv under tmp_path (the 40² scene and model.json), and the
-# output that cannot be written: a path in a missing directory, or a
-# directory. The other outputs are written, or renamed into place, first.
+# Each case: argv under tmp_path (the 40² scene, model.json and a stack
+# manifest stack.json), and the output that cannot be written: a path in a
+# missing directory, or a directory. The command's other outputs are staged,
+# or renamed into place, first.
 UNWRITABLE_OUTPUTS = {
     "predict_map_out_in_missing_dir": (
         ["predict", "--model", "model.json", "--cube", "scene.cube.json",
@@ -473,6 +483,16 @@ UNWRITABLE_OUTPUTS = {
     "index_out_in_missing_dir": (
         ["index", "--cube", "scene.cube.json", "--method", "fdi", "--out", "missing/f.f32",
          "--threshold", "0", "--mask-out", "f.pgm"], "missing/f.f32"),
+    "make_synthetic_out_mask_in_missing_dir": (
+        ["make-synthetic", "--out-cube", "c.json", "--out-mask", "missing/m.pgm",
+         "--rows", "4", "--cols", "4"], "missing/m.pgm"),
+    "train_report_in_missing_dir": (
+        ["train", "--cube", "scene.cube.json", "--mask", "scene.mask.pgm", "--out", "m.json",
+         "--report", "missing/r.json", "--max-iters", "2"], "missing/r.json"),
+    "import_out_is_a_directory": (
+        ["import", "--band", "B2=scene.mask.pgm", "--extent-m", "400", "--out", "adir"], "adir"),
+    "resample_out_is_a_directory": (
+        ["resample", "--manifest", "stack.json", "--out", "adir"], "adir"),
 }
 
 
@@ -480,6 +500,7 @@ UNWRITABLE_OUTPUTS = {
 def test_unwritable_output_leaves_no_file(tmp_path, scene, model_path, monkeypatch, capsys,
                                           case):
     (tmp_path / "adir").mkdir()
+    save_stack(BandStack((make_band("B8", np.ones((4, 4))),), 40.0), tmp_path / "stack.json")
     monkeypatch.chdir(tmp_path)
     before = tree_bytes(tmp_path)
     argv, culprit = UNWRITABLE_OUTPUTS[case]

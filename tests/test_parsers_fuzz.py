@@ -1,8 +1,9 @@
 """Property tests for every container reader: any input yields a valid object
 or a ValueError, never another exception. At the command line, `predict` on
 any model document or cube manifest, `index` on any cube manifest, `resample`
-on any stack manifest and `eval` on any PGM exit 0, or exit 1 with one error
-line and no output.
+on any stack manifest, `eval` on any PGM, and each subcommand with drawn
+values for its flags that name no path exit 0, or exit 1 with one error line
+and no output.
 
 Documents are arbitrary bytes, arbitrary JSON values, or a valid document
 whose fields are each kept, dropped or replaced by an arbitrary JSON value.
@@ -12,15 +13,18 @@ Payload file names stay valid: a missing file is an OSError by design.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import SearchStrategy
 
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
-from litterscan.mlp import MlpModel, load_model
-from litterscan.raster_io import BandStack, load_stack, read_float_raster, read_mask
+from litterscan.dataset import Normalizer
+from litterscan.mlp import MlpModel, init_model, load_model, save_model
+from litterscan.raster_io import BandStack, load_stack, read_float_raster, read_mask, write_mask
 from litterscan.resample import AlignedCube, load_cube, save_cube
+from litterscan.synthetic import make_scene
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -236,3 +240,84 @@ def test_resample_on_any_stack_manifest_exits_0_or_fails_in_one_line(tmp_path, c
     code = main(["resample", "--manifest", str(tmp_path / "s.json"),
                  "--out", str(out / "c.json")])
     assert_exits_0_or_fails_in_one_line(capsys, code, "resample", out, ["c.f32", "c.json"])
+
+
+# Values drawn for a flag: numbers, NaN and infinities, negatives, empty
+# strings, text and integers too large for any count or seed.
+FLAG_VALUES = (st.integers(-3, 100).map(str) | st.integers(2**63, 2**200).map(str)
+               | st.floats().map(repr) | st.sampled_from(["nan", "inf", "-inf", "", "1e400"])
+               | st.text(max_size=6))
+
+
+def at_most(cap: int) -> SearchStrategy:
+    """FLAG_VALUES without a value that argparse would read as an integer
+    above `cap`, so that no draw asks for a huge scene or a long run."""
+    def small(value):
+        try:
+            return int(value) <= cap
+        except ValueError:
+            return True
+    return FLAG_VALUES.filter(small)
+
+
+# subcommand -> (its argv, paths relative to the input directory; the values
+# drawn for each flag that names no path; the files it writes in out/)
+FLAG_DRAWS = {
+    "make-synthetic": (
+        ["--out-cube", "out/c.json", "--out-mask", "out/m.pgm", "--rows", "8", "--cols", "8"],
+        {"--rows": at_most(64), "--cols": at_most(64), "--plastic-frac": FLAG_VALUES,
+         "--seed": FLAG_VALUES}, ["c.f32", "c.json", "m.pgm"]),
+    "import": (["--band", "B2=m.pgm", "--extent-m", "80", "--out", "out/s.json"],
+               {"--extent-m": FLAG_VALUES}, ["s.json", "s_B2.u16"]),
+    "train": (["--cube", "c.json", "--mask", "m.pgm", "--out", "out/model.json",
+               "--max-iters", "2"],
+              {"--seed": FLAG_VALUES, "--max-iters": at_most(3), "--val-failures": FLAG_VALUES,
+               "--train-frac": FLAG_VALUES, "--val-frac": FLAG_VALUES,
+               "--test-frac": FLAG_VALUES}, ["model.json", "model.json.report.json"]),
+    "predict": (["--model", "model.json", "--cube", "c.json", "--out", "out/p.pgm"],
+                {"--threshold": FLAG_VALUES}, ["p.pgm"]),
+    "index": (["--cube", "c.json", "--method", "fdi", "--out", "out/i.f32", "--threshold", "0",
+               "--mask-out", "out/i.pgm"],
+              {"--method": st.sampled_from(["ndvi", "fdi", "b8b9", "combined"]) | FLAG_VALUES,
+               "--threshold": FLAG_VALUES, "--ndvi-max": FLAG_VALUES, "--fdi-min": FLAG_VALUES},
+              ["i.f32", "i.f32.json", "i.pgm"]),
+}
+
+
+def flag_draws(cmd: str) -> SearchStrategy:
+    """argv of `cmd` with some of its flags given drawn values, each as
+    `--flag=value` or as `--flag value`."""
+    argv, draws, _ = FLAG_DRAWS[cmd]
+    drawn = st.fixed_dictionaries({}, optional={flag: st.tuples(values, st.booleans())
+                                                 for flag, values in draws.items()})
+
+    def build(flags):
+        given = dict(zip(argv[::2], argv[1::2]))
+        given.update({flag: value for flag, (value, _) in flags.items()})
+        joined = {flag for flag, (_, join) in flags.items() if join}
+        return [cmd, *(arg for flag, value in given.items()
+                       for arg in ([f"{flag}={value}"] if flag in joined else [flag, value]))]
+    return drawn.map(build)
+
+
+@pytest.mark.parametrize("cmd", sorted(FLAG_DRAWS))
+def test_mutated_flags_exit_0_or_fail_in_one_line(tmp_path, capsys, monkeypatch, cmd):
+    cube, mask = make_scene(8, 8, 0.15, 0)
+    save_cube(cube, tmp_path / "c.json")
+    write_mask(mask, tmp_path / "m.pgm")
+    save_model(init_model(0, Normalizer(np.zeros(13), np.ones(13)), CANONICAL_ORDER),
+               tmp_path / "model.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    @FUZZ
+    @given(argv=flag_draws(cmd))
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's error, after its one line
+            code = e.code
+        assert_exits_0_or_fails_in_one_line(capsys, code, cmd, out, FLAG_DRAWS[cmd][2])
+
+    run()

@@ -296,6 +296,26 @@ def test_write_map_rejects_nonfinite_last_block(tmp_path, target, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_commit_renames_its_files_only_when_it_ends_without_error(tmp_path):
+    def names():
+        return sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith(".tmp-"))
+
+    with raster_io.commit():
+        write_mask(np.eye(3), tmp_path / "m.pgm")
+        with raster_io.commit():  # joins the open commit
+            raster_io.write_json(tmp_path / "d.json", {})
+        assert names() == []
+        with pytest.raises(ValueError, match="m.pgm would overwrite an input"):
+            read_mask(tmp_path / "m.pgm")  # a staged output is not an input
+        with pytest.raises(ValueError, match="d.json would be written twice"):
+            raster_io.write_json(tmp_path / "d.json", {})
+    assert names() == ["d.json", "m.pgm"]
+    with pytest.raises(RuntimeError), raster_io.commit():
+        write_mask(np.eye(3), tmp_path / "n.pgm")
+        raise RuntimeError
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "m.pgm"]
+
+
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         raster_io.write_json(tmp_path / "m.json", {"recall": [1.0, float("nan")]})

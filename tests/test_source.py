@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every name a module imports is used there."""
+"""Source hygiene of the package: every name a module imports is used there,
+and only raster_io writes, renames or removes a file."""
 
 import ast
 from pathlib import Path
@@ -25,3 +26,41 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+# Calls that change files: only raster_io, whose commit stages every output,
+# may make them, so no writer can bypass the commit.
+OS_FILE_CALLS = {"replace", "rename", "unlink", "remove"}
+FILE_METHODS = {"tofile", "write_bytes", "write_text"}
+
+
+def file_changing_calls(tree: ast.Module):
+    """The line of each use in `tree` of os.replace, os.rename, os.unlink,
+    os.remove or a `.tofile`, `.write_bytes` or `.write_text` method, called
+    or not; of each call to an `open` whose mode has w, x, a or + or is not
+    a literal; and of each `open` passed as a value."""
+    called = {node.func for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (node.attr in FILE_METHODS or (
+                node.attr in OS_FILE_CALLS and isinstance(node.value, ast.Name)
+                and node.value.id == "os")):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "open" and node not in called:
+            yield node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(
+                node.func, "attr", None)) == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+            mode = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wxa+"):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_raster_io_changes_files(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = list(file_changing_calls(tree))
+    if path.name == "raster_io.py":
+        assert lines, "the checker no longer sees raster_io's own writes"
+    else:
+        assert not lines, f"{path.name} writes, renames or removes a file at lines {lines}"
