@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import dataset, evaluation, indexes, mlp, raster_io, resample, synthetic
-from .bands import canonical_spec
+from .bands import CANONICAL_ORDER, canonical_spec
 
 log = logging.getLogger("litterscan")
 
@@ -111,7 +111,7 @@ def _cmd_import(args) -> None:
 
 def _cmd_resample(args) -> None:
     aligned = resample.StackAlignment(raster_io.load_stack(args.manifest))
-    resample.save_cube(aligned, args.out)
+    resample.save_cube(aligned.blocks(), aligned.rows, aligned.cols, aligned.band_ids, args.out)
     log.info("aligned %d band(s) to %dx%d", len(aligned.band_ids), aligned.rows, aligned.cols)
 
 
@@ -141,9 +141,9 @@ def _cmd_index(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    cube = resample.load_cube(args.cube)
-    truth = raster_io.read_mask(args.mask)
-    samples = dataset.extract_samples(cube, truth)
+    band_ids, values = resample.load_cube(args.cube)
+    samples = dataset.extract_samples(values, raster_io.read_mask(args.mask))
+    del values  # `samples` holds them, widened to float64
     log.info("dataset: %s", dataset.dataset_report(samples))
 
     balanced = dataset.balance(samples, args.seed)
@@ -155,7 +155,7 @@ def _cmd_train(args) -> None:
     test_set = dataset.normalize_set(norm, test_raw)
 
     cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
-    model = mlp.init_model(args.seed, norm, cube.band_ids)
+    model = mlp.init_model(args.seed, norm, band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
     test_pred = mlp.forward_batch(model, test_set.features) >= mlp.SCORE_THRESHOLD
@@ -190,8 +190,8 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_make_synthetic(args) -> None:
-    cube, mask = synthetic.make_scene(args.rows, args.cols, args.plastic_frac, args.seed)
-    resample.save_cube(cube, args.out_cube)
+    values, mask = synthetic.make_scene(args.rows, args.cols, args.plastic_frac, args.seed)
+    resample.save_cube(values, args.rows, args.cols, CANONICAL_ORDER, args.out_cube)
     raster_io.write_mask(mask, args.out_mask)
 
 

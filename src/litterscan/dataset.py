@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import CANONICAL_ORDER
 from .raster_io import check_labels
-from .resample import AlignedCube
 from .rng import SplitMix64
 
-N_FEATURES = 13
+N_FEATURES = len(CANONICAL_ORDER)
 MIN_SAMPLES_PER_WEIGHT = 15
 
 
@@ -87,16 +87,16 @@ class SplitSpec:
             raise ValueError("split fractions must sum to 1")
 
 
-def extract_samples(cube: AlignedCube, mask: np.ndarray) -> SampleSet:
-    """One sample per pixel: 13 band values + the {0, 1} label of a mask on
-    the cube's grid."""
-    if mask.shape != (cube.rows, cube.cols):
+def extract_samples(values: np.ndarray, mask: np.ndarray) -> SampleSet:
+    """One sample per pixel: the 13 band values of a (rows, cols, 13) cube,
+    widened to float64, + the {0, 1} label of a mask on the cube's grid."""
+    rows, cols, n_bands = values.shape
+    if mask.shape != (rows, cols):
         raise ValueError(f"mask {'x'.join(map(str, mask.shape))} does not match cube "
-                         f"{cube.rows}x{cube.cols}")
-    if cube.n_bands != N_FEATURES:
-        raise ValueError(f"cube has {cube.n_bands} bands, need {N_FEATURES}")
-    feats = cube.values.reshape(-1, N_FEATURES)
-    return SampleSet(feats, mask.reshape(-1))
+                         f"{rows}x{cols}")
+    if n_bands != N_FEATURES:
+        raise ValueError(f"cube has {n_bands} bands, need {N_FEATURES}")
+    return SampleSet(values.reshape(-1, N_FEATURES), mask.reshape(-1))
 
 
 def balance(samples: SampleSet, seed: int) -> SampleSet:

@@ -1,13 +1,16 @@
 """Normalized-difference index maps, the floating-debris index, and
-threshold masks. A map is a (rows, cols) float64 array and a mask a bool
-array, on the grid of the cube (or cube block) they are computed from."""
+threshold masks. An index reads a cube (or cube block) as its band ids and
+its (rows, cols, n_bands) values, and widens to float64 only the planes it
+reads (`plane`). A map is a (rows, cols) float64 array and a mask a bool
+array, on the grid of the cube they are computed from."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from .bands import SENTINEL2_BANDS
-from .resample import AlignedCube
 
 # 10 * (lambda_B8 - lambda_B4) / (lambda_B11 - lambda_B4), center wavelengths
 # 842 / 665 / 1610 nm.
@@ -34,20 +37,29 @@ def normalized_difference(a, b):
     return out
 
 
-def b8b9_index(cube: AlignedCube) -> np.ndarray:
+def plane(band_ids: Sequence[str], values: np.ndarray, band_id: str) -> np.ndarray:
+    """Band `band_id` of the cube `values`, whose planes are `band_ids`, as float64."""
+    try:
+        i = band_ids.index(band_id)
+    except ValueError:
+        raise ValueError(f"cube has no band {band_id!r}") from None
+    return values[:, :, i].astype(np.float64)
+
+
+def b8b9_index(band_ids: Sequence[str], values: np.ndarray) -> np.ndarray:
     """(B8 - B9) / (B8 + B9)."""
-    return normalized_difference(cube.plane("B8"), cube.plane("B9"))
+    return normalized_difference(plane(band_ids, values, "B8"), plane(band_ids, values, "B9"))
 
 
-def ndvi(cube: AlignedCube) -> np.ndarray:
+def ndvi(band_ids: Sequence[str], values: np.ndarray) -> np.ndarray:
     """(B8 - B4) / (B8 + B4): NIR vs red, high over vegetation."""
-    return normalized_difference(cube.plane("B8"), cube.plane("B4"))
+    return normalized_difference(plane(band_ids, values, "B8"), plane(band_ids, values, "B4"))
 
 
-def fdi(cube: AlignedCube) -> np.ndarray:
+def fdi(band_ids: Sequence[str], values: np.ndarray) -> np.ndarray:
     """NIR departure from the red-edge -> SWIR baseline:
     B8 - (B6 + (B11 - B6) * FDI_WAVELENGTH_FACTOR)."""
-    b6, b8, b11 = cube.plane("B6"), cube.plane("B8"), cube.plane("B11")
+    b6, b8, b11 = (plane(band_ids, values, b) for b in ("B6", "B8", "B11"))
     baseline = b6 + (b11 - b6) * FDI_WAVELENGTH_FACTOR
     return b8 - baseline
 
@@ -64,8 +76,9 @@ def threshold_map(values: np.ndarray, t: float) -> np.ndarray:
     return values >= t
 
 
-def combined_index_mask(cube: AlignedCube, ndvi_max: float, fdi_min: float) -> np.ndarray:
+def combined_index_mask(band_ids: Sequence[str], values: np.ndarray,
+                        ndvi_max: float, fdi_min: float) -> np.ndarray:
     """True where FDI >= fdi_min and NDVI <= ndvi_max: debris is FDI-bright
     and not vegetation."""
     check_threshold(ndvi_max, fdi_min)
-    return (fdi(cube) >= fdi_min) & (ndvi(cube) <= ndvi_max)
+    return (fdi(band_ids, values) >= fdi_min) & (ndvi(band_ids, values) <= ndvi_max)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .dataset import N_FEATURES, Normalizer, SampleSet
 from .raster_io import read_json_object, write_json
-from .resample import AlignedCube
 from .rng import SplitMix64
 
 N_HIDDEN = 10
@@ -141,7 +140,8 @@ def _logistic(z):
 
 
 def _forward(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 13) float64 inputs -> hidden activations (n, 10), outputs (n,).
+    """(n, 13) inputs -> hidden activations (n, 10), outputs (n,), in float64:
+    the first matmul promotes float32 inputs.
     Huge finite weights may overflow a sum: a score that saturates is a valid
     output, and a NaN is rejected where the scores are used, so numpy's
     warnings are not printed."""
@@ -292,16 +292,14 @@ def fold_normalizer(model: MlpModel) -> np.ndarray:
     return folded
 
 
-def predict_map(model: MlpModel, cube: AlignedCube) -> np.ndarray:
-    """The network's output, in (0, 1), for every pixel, from the raw band
-    values through the folded first layer (`fold_normalizer`);
-    `raster_io.write_map` thresholds it into a mask."""
-    if cube.band_ids != model.band_order:
-        raise ValueError(
-            f"cube bands {cube.band_ids} do not match model bands {model.band_order}"
-        )
-    x = cube.values.reshape(-1, N_FEATURES)
-    return _forward(fold_normalizer(model), model.w_output, x)[1].reshape(cube.rows, cube.cols)
+def predict_map(model: MlpModel, band_ids: tuple[str, ...], values: np.ndarray) -> np.ndarray:
+    """The network's output, in (0, 1), for every pixel of a (rows, cols, 13)
+    cube of `band_ids`, from the raw band values through the folded first
+    layer (`fold_normalizer`); `raster_io.write_map` thresholds it into a mask."""
+    if band_ids != model.band_order:
+        raise ValueError(f"cube bands {band_ids} do not match model bands {model.band_order}")
+    x = values.reshape(-1, N_FEATURES)
+    return _forward(fold_normalizer(model), model.w_output, x)[1].reshape(values.shape[:2])
 
 
 def save_model(model: MlpModel, path: str | os.PathLike) -> None:

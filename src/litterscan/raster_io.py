@@ -21,6 +21,7 @@ non-finite one fails the write.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 from dataclasses import dataclass
@@ -63,7 +64,8 @@ def commit() -> Iterator[None]:
     error: on any error none is renamed and no temp file is left. A commit
     entered inside another joins it. In a commit, writing a file already
     read or written (symlinks resolved) raises ValueError before its temp
-    file opens, and so does reading a file already staged."""
+    file opens, and so does reading a file already staged; writing over a
+    directory raises IsADirectoryError there too."""
     global _reads
     if _reads is not None:
         yield
@@ -99,6 +101,8 @@ def _stage(path: str | os.PathLike) -> BinaryIO:
     if real in _reads or real in _staged:
         clash = "overwrite an input" if real in _reads else "be written twice"
         raise ValueError(f"output {path} would {clash}")
+    if os.path.isdir(path):  # its rename would fail after other outputs had replaced theirs
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     out = _naming(path, open, tmp, "xb")  # 0o666 less the umask
     _staged[real] = (path, tmp)

@@ -1,5 +1,7 @@
 """Lanczos3 band alignment onto the finest grid, and the cube container,
 which is written (`StackAlignment.blocks`) and read (`map_cube_rows`) in row blocks.
+A cube is described by its band ids (in `CubeHeader`) and its values, a plain
+(rows, cols, n_bands) array; a block read from the payload stays float32.
 Both streams put one helper thread to work beside the calling thread once
 there is a second block: numpy releases the interpreter lock for the block
 arithmetic, so the two threads use two cores.
@@ -17,12 +19,12 @@ import contextlib
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bands import check_band_ids
-from .raster_io import (Band, BandStack, atomic_write, check_payload_size, commit, read_dims,
+from .raster_io import (BandStack, atomic_write, check_payload_size, commit, read_dims,
                         read_json_object, row_ranges, write_json)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
@@ -81,50 +83,12 @@ def _resample_rows(img: np.ndarray, taps, r0: int, r1: int) -> np.ndarray:
     return out
 
 
-def resample_band(band: Band | np.ndarray, scale: int) -> np.ndarray:
+def resample_band(img: np.ndarray, scale: int) -> np.ndarray:
     """Upscale a grid by an integer factor with separable Lanczos3."""
     if scale not in SUPPORTED_SCALES:
         raise ValueError(f"unsupported scale {scale} (expected one of {SUPPORTED_SCALES})")
-    img = band.pixels if isinstance(band, Band) else np.asarray(band)
+    img = np.asarray(img)
     return _resample_rows(img, _grid_taps(img.shape, scale), 0, img.shape[0] * scale)
-
-
-@dataclass(frozen=True)
-class AlignedCube:
-    """All bands on one grid; per-pixel feature vectors in canonical band order."""
-
-    band_ids: tuple[str, ...]
-    values: np.ndarray  # (rows, cols, n_bands) float64
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if v.ndim != 3 or v.size == 0:
-            raise ValueError("cube values must be (rows, cols, n_bands)")
-        if v.shape[2] != len(self.band_ids):
-            raise ValueError("band_ids length does not match value planes")
-        if not np.isfinite(v).all():
-            raise ValueError("cube values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "band_ids", tuple(self.band_ids))
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_bands(self) -> int:
-        return self.values.shape[2]
-
-    def plane(self, band_id: str) -> np.ndarray:
-        try:
-            return self.values[:, :, self.band_ids.index(band_id)]
-        except ValueError:
-            raise ValueError(f"cube has no band {band_id!r}") from None
 
 
 class StackAlignment:
@@ -178,25 +142,26 @@ class StackAlignment:
                 yield self.rows_block(r0, r1, helper)
 
 
-def align_stack(stack: BandStack) -> AlignedCube:
-    """Resample every band to the finest grid present in the stack."""
+def align_stack(stack: BandStack) -> np.ndarray:
+    """Every band resampled to the finest grid present in the stack, as one
+    (rows, cols, n_bands) float64 array in the stack's band order."""
     aligned = StackAlignment(stack)
-    return AlignedCube(aligned.band_ids, aligned.rows_block(0, aligned.rows))
+    return aligned.rows_block(0, aligned.rows)
 
 
 # ---------------------------------------------------------------------------
 # cube container: f32le payload (row-major, band-interleaved) + JSON manifest
 
-def save_cube(cube: AlignedCube | StackAlignment, manifest_path: str | os.PathLike) -> None:
-    """Write the payload `<stem>.f32`, then the manifest, in one commit. A
-    StackAlignment is resampled and written one row block at a time."""
+def save_cube(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
+              band_ids: Sequence[str], manifest_path: str | os.PathLike) -> None:
+    """Write a rows x cols cube of `band_ids`, an array or its row blocks
+    (`StackAlignment.blocks`), as the payload `<stem>.f32`, then the
+    manifest, in one commit."""
     payload = os.path.splitext(manifest_path)[0] + ".f32"
-    values = cube.values if isinstance(cube, AlignedCube) else cube.blocks()
     with commit():
-        atomic_write(payload, b"", values, "<f4")
-        write_json(manifest_path, {"rows": cube.rows, "cols": cube.cols,
-                                   "bands": list(cube.band_ids), "dtype": "f32le",
-                                   "file": os.path.basename(payload)})
+        atomic_write(payload, b"", blocks, "<f4")
+        write_json(manifest_path, {"rows": rows, "cols": cols, "bands": list(band_ids),
+                                   "dtype": "f32le", "file": os.path.basename(payload)})
 
 
 @dataclass(frozen=True)
@@ -234,16 +199,19 @@ def _read_rows(f: BinaryIO, header: CubeHeader, n_rows: int) -> np.ndarray:
     return data.reshape(n_rows, header.cols, n_bands)
 
 
-def _cube(header: CubeHeader, rows: np.ndarray) -> AlignedCube:
-    """Rows from `_read_rows`, widened to float64. This is where a cube's
-    values are checked: `AlignedCube` rejects a non-finite one."""
-    return AlignedCube(header.band_ids, rows.astype(np.float64))
+def _finite(values: np.ndarray) -> np.ndarray:
+    """`values`, rows of a cube as read. This is where a cube's values are
+    checked, every band of every row: a non-finite one raises ValueError."""
+    if not np.isfinite(values).all():
+        raise ValueError("cube values must be finite")
+    return values
 
 
-def load_cube(manifest_path: str | os.PathLike) -> AlignedCube:
+def load_cube(manifest_path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
+    """The band ids and the (rows, cols, n_bands) float32 values of a cube."""
     header = read_cube_header(manifest_path)
     with open(header.payload, "rb") as f:
-        return _cube(header, _read_rows(f, header, header.rows))
+        return header.band_ids, _finite(_read_rows(f, header, header.rows))
 
 
 @contextlib.contextmanager
@@ -289,14 +257,15 @@ def _in_order(fn: Callable, items: Iterable, helper: Executor | None) -> Iterato
 
 
 def map_cube_rows(header: CubeHeader,
-                  fn: Callable[[AlignedCube], np.ndarray]) -> Iterator[np.ndarray]:
-    """fn applied to each row block of the cube (`raster_io.row_ranges`),
-    yielded in order: fn maps a block of n rows to an (n, cols) result.
+                  fn: Callable[[tuple[str, ...], np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """fn(band ids, block) for each row block of the cube
+    (`raster_io.row_ranges`), yielded in order: fn maps an (n, cols, n_bands)
+    float32 block, as read and checked by `_finite`, to an (n, cols) result.
     This thread reads every block. From a second block on, alternate blocks
-    are widened, checked and mapped by one helper thread while this thread
-    does the others, so at most two blocks of the cube are in memory at a
-    time; a one-block cube starts no thread."""
+    are checked and mapped by one helper thread while this thread does the
+    others, so at most two blocks of the cube are in memory at a time; a
+    one-block cube starts no thread."""
     ranges = list(row_ranges(header.rows, header.cols))
     with open(header.payload, "rb") as f, _helper_thread(len(ranges) > 1) as helper:
-        yield from _in_order(lambda rows: fn(_cube(header, rows)),
+        yield from _in_order(lambda rows: fn(header.band_ids, _finite(rows)),
                              (_read_rows(f, header, r1 - r0) for r0, r1 in ranges), helper)

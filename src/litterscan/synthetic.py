@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bands import CANONICAL_ORDER
-from .resample import AlignedCube
+from .dataset import N_FEATURES
 from .rng import SplitMix64
 
 SIGMA = 60.0
@@ -20,8 +19,8 @@ MEAN_SEPARATION = 5.0 * SIGMA  # >= 4 sigma, per band
 
 def class_means() -> tuple[np.ndarray, np.ndarray]:
     """(background, plastic) per-band mean digital numbers."""
-    background = 800.0 + 120.0 * np.arange(13)
-    sign = np.where(np.arange(13) % 2 == 0, 1.0, -1.0)
+    background = 800.0 + 120.0 * np.arange(N_FEATURES)
+    sign = np.where(np.arange(N_FEATURES) % 2 == 0, 1.0, -1.0)
     return background, background + sign * MEAN_SEPARATION
 
 
@@ -48,14 +47,16 @@ def plastic_mask(rows: int, cols: int, plastic_frac: float) -> np.ndarray:
 
 
 def make_scene(rows: int, cols: int, plastic_frac: float,
-               seed: int) -> tuple[AlignedCube, np.ndarray]:
-    """Gaussian per-band values around the class mean of each pixel."""
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols, 13) float64 values in canonical band order, Gaussian
+    per band around the class mean of each pixel, and the plastic mask."""
     mask = plastic_mask(rows, cols, plastic_frac)
     mean_bg, mean_pl = class_means()
     rng = SplitMix64(seed)
     # draws in row, column, band order
-    n = rows * cols * 13
-    values = np.fromiter((rng.normal() for _ in range(n)), np.float64, n).reshape(rows, cols, 13)
+    n = rows * cols * N_FEATURES
+    values = np.fromiter((rng.normal() for _ in range(n)), np.float64, n).reshape(
+        rows, cols, N_FEATURES)
     values *= SIGMA
     values += np.where(mask[:, :, None], mean_pl, mean_bg)
-    return AlignedCube(CANONICAL_ORDER, values), mask
+    return values, mask

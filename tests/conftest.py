@@ -5,13 +5,13 @@ import pytest
 
 from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.raster_io import Band
-from litterscan.resample import AlignedCube
 
 
-def make_cube(planes: dict[str, np.ndarray]) -> AlignedCube:
-    """Cube from {band id: 2-D grid}, canonical band order."""
-    ids = [b for b in CANONICAL_ORDER if b in planes]
-    return AlignedCube(tuple(ids), np.stack([planes[b] for b in ids], axis=-1))
+def make_cube(planes: dict[str, np.ndarray]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Band ids and (rows, cols, n_bands) float64 values from {band id: 2-D
+    grid}, in canonical band order."""
+    ids = tuple(b for b in CANONICAL_ORDER if b in planes)
+    return ids, np.stack([np.asarray(planes[b], dtype=np.float64) for b in ids], axis=-1)
 
 
 def make_band(band_id: str, pixels) -> Band:

@@ -180,7 +180,7 @@ def test_criterion_07_index_properties():
                       "B11": np.array([[60.0]])})
     scaled = make_cube({"B6": np.array([[120.0 * k]]), "B8": np.array([[480.0 * k]]),
                         "B11": np.array([[60.0 * k]])})
-    assert fdi(scaled)[0, 0] == pytest.approx(k * fdi(base)[0, 0], rel=1e-12)
+    assert fdi(*scaled)[0, 0] == pytest.approx(k * fdi(*base)[0, 0], rel=1e-12)
     report(7, "antisymmetry, scale invariance and range over 10^6 pairs; "
               "FDI positive homogeneity")
 
@@ -222,7 +222,7 @@ def test_criterion_08_determinism(tmp_path):
 
 def test_criterion_09_dataset_arithmetic():
     from conftest import make_cube
-    cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
+    _, cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
     truth = np.zeros((1830, 1830), dtype=bool)
     s = extract_samples(cube, truth)
     rep = dataset_report(s)

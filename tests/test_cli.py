@@ -11,6 +11,7 @@ from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import (BandStack, read_float_raster, read_json_object, read_mask,
                                  save_stack, write_mask)
+from litterscan.indexes import plane
 from litterscan.resample import load_cube
 
 
@@ -29,9 +30,9 @@ def scene(tmp_path):
 
 def test_make_synthetic_writes_scene(scene):
     cube_path, mask_path = scene
-    cube = load_cube(cube_path)
+    band_ids, values = load_cube(cube_path)
     mask = read_mask(mask_path)
-    assert (cube.rows, cube.cols, cube.n_bands) == (40, 40, 13)
+    assert band_ids == CANONICAL_ORDER and values.shape == (40, 40, 13)
     assert mask.sum() == round(0.15 * 1600)
 
 
@@ -40,9 +41,9 @@ def test_index_b8b9_matches_oracle(tmp_path, scene):
     out = tmp_path / "b8b9.f32"
     assert run("index", "--cube", str(cube_path), "--method", "b8b9",
                "--out", str(out)) == 0
-    cube = load_cube(cube_path)
+    band_ids, values = load_cube(cube_path)
     got = read_float_raster(out)
-    b8, b9 = cube.plane("B8"), cube.plane("B9")
+    b8, b9 = plane(band_ids, values, "B8"), plane(band_ids, values, "B9")
     expect = ((b8 - b9) / (b8 + b9)).astype(np.float32).astype(np.float64)
     assert np.array_equal(got, expect)
 
@@ -155,9 +156,9 @@ def test_import_and_resample(tmp_path):
 
     cube_path = tmp_path / "cube.json"
     assert run("resample", "--manifest", str(manifest), "--out", str(cube_path)) == 0
-    cube = load_cube(cube_path)
-    assert (cube.rows, cube.cols, cube.n_bands) == (4, 4, 2)
-    assert np.abs(cube.plane("B11") - 500.0).max() < 1e-6
+    band_ids, values = load_cube(cube_path)
+    assert band_ids == ("B8", "B11") and values.shape == (4, 4, 2)
+    assert np.abs(plane(band_ids, values, "B11") - 500.0).max() < 1e-6
 
 
 def test_unknown_band_id_fails(tmp_path, capsys):
@@ -509,6 +510,23 @@ def test_unwritable_output_leaves_no_file(tmp_path, scene, model_path, monkeypat
     assert err.startswith(f"litterscan {argv[0]}: ") and err.count("\n") == 1, err
     assert err.endswith(f": '{culprit}'\n"), err  # the output asked for, not a temp file
     assert tree_bytes(tmp_path) == before
+
+
+def test_a_directory_output_keeps_the_outputs_of_an_earlier_run(tmp_path, scene, model_path,
+                                                                monkeypatch, capsys):
+    """The directory is refused before any output is staged or renamed, so
+    the scores an earlier run left at --map-out keep their bytes."""
+    monkeypatch.chdir(tmp_path)
+    predict = ["predict", "--model", "model.json", "--cube", "scene.cube.json",
+               "--map-out", "s.f32"]
+    assert run(*predict, "--out", "p.pgm") == 0
+    (tmp_path / "adir").mkdir()
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(*predict, "--out", "adir") == 1
+    assert capsys.readouterr().err == "litterscan predict: [Errno 21] Is a directory: 'adir'\n"
+    assert tree_bytes(tmp_path) == before
+    assert {"s.f32", "s.f32.json"} <= before.keys()
 
 
 def test_eval_rejects_masks_on_different_grids(tmp_path, capsys):

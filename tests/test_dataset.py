@@ -23,11 +23,12 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def full_cube(rows, cols, seed=0):
+    """(rows, cols, 13) values in canonical band order."""
     rng = np.random.default_rng(seed)
     return make_cube({
         bid: rng.integers(0, 4096, size=(rows, cols)).astype(float)
         for bid in CANONICAL_ORDER
-    })
+    })[1]
 
 
 def sample_set(labels, seed=0):
@@ -44,7 +45,7 @@ def test_extract_samples_basic():
     s = extract_samples(cube, mask)
     assert len(s) == 4
     assert list(s.labels) == [1, 0, 0, 1]
-    assert np.array_equal(s.features[1], cube.values[0, 1])
+    assert np.array_equal(s.features[1], cube[0, 1])
 
 
 def test_extract_samples_dimension_mismatch():
@@ -56,7 +57,7 @@ def test_extract_samples_dimension_mismatch():
 
 def test_extract_standard_grid_sample_count():
     # full 60 m product grid; zero-filled planes keep this cheap
-    cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
+    _, cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
     labels = np.zeros((1830, 1830), dtype=np.uint8)
     labels[0, 0] = 1
     s = extract_samples(cube, labels)

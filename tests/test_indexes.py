@@ -57,7 +57,7 @@ def test_b8b9_examples():
         "B8": np.array([[2000.0, 3000.0]]),
         "B9": np.array([[2000.0, 1000.0]]),
     })
-    out = b8b9_index(cube)
+    out = b8b9_index(*cube)
     assert out.dtype == np.float64
     assert np.array_equal(out, [[0.0, 0.5]])
 
@@ -66,7 +66,7 @@ def test_b8b9_matches_elementwise_oracle():
     rng = np.random.default_rng(0)
     b8 = rng.integers(0, 4096, size=(2, 2)).astype(float)
     b9 = rng.integers(0, 4096, size=(2, 2)).astype(float)
-    out = b8b9_index(make_cube({"B8": b8, "B9": b9}))
+    out = b8b9_index(*make_cube({"B8": b8, "B9": b9}))
     for i in range(2):
         for j in range(2):
             s = b8[i, j] + b9[i, j]
@@ -77,7 +77,7 @@ def test_b8b9_matches_elementwise_oracle():
 def test_missing_band_error():
     cube = make_cube({"B8": np.ones((2, 2))})
     with pytest.raises(ValueError, match="no band"):
-        b8b9_index(cube)
+        b8b9_index(*cube)
 
 
 def test_ndvi_examples():
@@ -85,12 +85,12 @@ def test_ndvi_examples():
         "B4": np.array([[1000.0, 1000.0]]),
         "B8": np.array([[1000.0, 4000.0]]),
     })
-    out = ndvi(cube)
+    out = ndvi(*cube)
     assert out.dtype == np.float64 and out.shape == (1, 2)
     assert out[0, 0] == 0.0
     assert out[0, 1] == pytest.approx(0.6)
     # dense vegetation: high NIR, low red
-    veg = ndvi(make_cube({"B4": np.array([[300.0]]), "B8": np.array([[3500.0]])}))
+    veg = ndvi(*make_cube({"B4": np.array([[300.0]]), "B8": np.array([[3500.0]])}))
     assert veg[0, 0] > 0.5
 
 
@@ -108,14 +108,14 @@ def test_fdi_example_values():
         "B8": np.array([[1000.0]]),
         "B11": np.array([[1000.0]]),
     })
-    assert fdi(flat)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert fdi(*flat)[0, 0] == pytest.approx(0.0, abs=1e-12)
     cube = make_cube({
         "B6": np.array([[0.03 * 4096]]),
         "B8": np.array([[0.05 * 4096]]),
         "B11": np.array([[0.01 * 4096]]),
     })
-    assert fdi(cube).dtype == np.float64
-    assert fdi(cube)[0, 0] == pytest.approx(FDI_EXAMPLE, rel=1e-10)
+    assert fdi(*cube).dtype == np.float64
+    assert fdi(*cube)[0, 0] == pytest.approx(FDI_EXAMPLE, rel=1e-10)
 
 
 @given(st.floats(min_value=0.1, max_value=100.0, allow_nan=False))
@@ -128,7 +128,7 @@ def test_fdi_positive_homogeneity(k):
         "B6": np.array([[120.0 * k]]), "B8": np.array([[480.0 * k]]),
         "B11": np.array([[60.0 * k]]),
     })
-    assert fdi(scaled)[0, 0] == pytest.approx(k * fdi(base)[0, 0], rel=1e-12)
+    assert fdi(*scaled)[0, 0] == pytest.approx(k * fdi(*base)[0, 0], rel=1e-12)
 
 
 def test_threshold_map():
@@ -158,9 +158,9 @@ def test_combined_index_mask_single_debris_pixel():
     b11 = np.full((3, 3), 500.0)
     b8[1, 1] = 2000.0  # bright in NIR, NDVI still moderate
     cube = make_cube({"B4": b4, "B6": b6, "B8": b8, "B11": b11})
-    fdi_vals = fdi(cube)
-    ndvi_vals = ndvi(cube)
-    mask = combined_index_mask(cube, ndvi_max=0.8, fdi_min=500.0)
+    fdi_vals = fdi(*cube)
+    ndvi_vals = ndvi(*cube)
+    mask = combined_index_mask(*cube, ndvi_max=0.8, fdi_min=500.0)
     expect = ((fdi_vals >= 500.0) & (ndvi_vals <= 0.8)).astype(np.uint8)
     assert mask.dtype == np.bool_
     assert np.array_equal(mask, expect)
@@ -175,7 +175,7 @@ def test_combined_mask_threshold_logic():
         "B11": np.array([[500.0, 500.0]]),
     })
     # fdi_min above both pixels -> nothing labeled
-    assert not combined_index_mask(cube, ndvi_max=1.0, fdi_min=1e5).any()
+    assert not combined_index_mask(*cube, ndvi_max=1.0, fdi_min=1e5).any()
     # pixel 1 passes both constraints
-    mask = combined_index_mask(cube, ndvi_max=1.0, fdi_min=1000.0)
+    mask = combined_index_mask(*cube, ndvi_max=1.0, fdi_min=1000.0)
     assert np.array_equal(mask, [[0, 1]])

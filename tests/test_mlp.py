@@ -26,7 +26,6 @@ from litterscan.mlp import (
     train,
     with_weights,
 )
-from litterscan.resample import AlignedCube
 from litterscan.rng import SplitMix64
 
 UNIT_NORM = Normalizer(np.full(13, -1.0), np.full(13, 1.0))
@@ -267,8 +266,7 @@ def test_train_separable_problem():
 def test_predict_map_threshold_and_range():
     m = pinned_model()
     rng = np.random.default_rng(2)
-    cube = AlignedCube(CANONICAL_ORDER, rng.uniform(0, 1, size=(4, 5, 13)))
-    omap = predict_map(m, cube)
+    omap = predict_map(m, CANONICAL_ORDER, rng.uniform(0, 1, size=(4, 5, 13)))
     assert omap.shape == (4, 5) and omap.dtype == np.float64
     assert ((omap > 0) & (omap < 1)).all()
     assert not threshold_map(omap, 1.1).any()  # outputs < 1
@@ -285,10 +283,10 @@ def test_predict_map_folds_the_normalizer_into_the_first_layer():
     lo = rng.uniform(50, 500, 13)
     norm = Normalizer(lo, lo + rng.uniform(1000, 3000, 13))
     m = init_model(4, norm, CANONICAL_ORDER)
-    cube = AlignedCube(CANONICAL_ORDER, rng.uniform(0, 4000, size=(6, 7, 13)))
-    x = cube.values.reshape(-1, 13)
+    values = rng.uniform(0, 4000, size=(6, 7, 13))
+    x = values.reshape(-1, 13)
     expect = forward_batch(m, apply_normalizer(norm, x)).reshape(6, 7)
-    assert np.allclose(predict_map(m, cube), expect, rtol=0, atol=1e-12)
+    assert np.allclose(predict_map(m, CANONICAL_ORDER, values), expect, rtol=0, atol=1e-12)
     folded = mlp.fold_normalizer(m)
     assert folded.shape == (10, 14)
     ones = np.ones((x.shape[0], 1))
@@ -299,9 +297,8 @@ def test_predict_map_folds_the_normalizer_into_the_first_layer():
 
 def test_predict_map_band_mismatch():
     m = pinned_model()
-    cube = AlignedCube(("B2", "B3"), np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="do not match"):
-        predict_map(m, cube)
+        predict_map(m, ("B2", "B3"), np.zeros((2, 2, 2)))
 
 
 def test_model_round_trip(tmp_path):

@@ -23,7 +23,7 @@ from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import MlpModel, init_model, load_model, save_model
 from litterscan.raster_io import BandStack, load_stack, read_float_raster, read_mask, write_mask
-from litterscan.resample import AlignedCube, load_cube, save_cube
+from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -76,9 +76,11 @@ def parses_or_rejects(read, path, valid_type):
 def test_cube_manifest_parses_or_rejects(tmp_path, manifest, payload):
     (tmp_path / "c.f32").write_bytes(payload)
     (tmp_path / "c.json").write_bytes(manifest)
-    cube = parses_or_rejects(load_cube, tmp_path / "c.json", AlignedCube)
+    cube = parses_or_rejects(load_cube, tmp_path / "c.json", tuple)
     if cube is not None:
-        assert cube.values.shape == (cube.rows, cube.cols, len(cube.band_ids))
+        band_ids, values = cube
+        assert values.ndim == 3 and values.shape[2] == len(band_ids)
+        assert values.dtype == np.float32
 
 
 BAND = {"id": "B8", "wavelength_nm": 842, "native_gsd_m": 10, "rows": 2, "cols": 2,
@@ -173,7 +175,7 @@ def test_predict_exits_0_or_fails_in_one_line(tmp_path, capsys, model):
     cube = tmp_path / "c.json"
     if not cube.exists():
         values = np.linspace(0.0, 1.0, 2 * 3 * 13).reshape(2, 3, 13)
-        save_cube(AlignedCube(CANONICAL_ORDER, values), cube)
+        save_cube(values, 2, 3, CANONICAL_ORDER, cube)
     (tmp_path / "m.json").write_text(json.dumps(model))
     out = tmp_path / "out"
     out.mkdir(exist_ok=True)
@@ -302,8 +304,8 @@ def flag_draws(cmd: str) -> SearchStrategy:
 
 @pytest.mark.parametrize("cmd", sorted(FLAG_DRAWS))
 def test_mutated_flags_exit_0_or_fail_in_one_line(tmp_path, capsys, monkeypatch, cmd):
-    cube, mask = make_scene(8, 8, 0.15, 0)
-    save_cube(cube, tmp_path / "c.json")
+    values, mask = make_scene(8, 8, 0.15, 0)
+    save_cube(values, 8, 8, CANONICAL_ORDER, tmp_path / "c.json")
     write_mask(mask, tmp_path / "m.pgm")
     save_model(init_model(0, Normalizer(np.zeros(13), np.ones(13)), CANONICAL_ORDER),
                tmp_path / "model.json")

@@ -21,7 +21,7 @@ from litterscan.raster_io import (
     write_float_raster,
     write_mask,
 )
-from litterscan.resample import AlignedCube, save_cube
+from litterscan.resample import save_cube
 
 # Sentinel-2 MSI band table: (wavelength nm, resolution m).
 TABLE_I = {
@@ -249,7 +249,7 @@ def write_every_raster(directory):
     values = rng.integers(0, 4096, size=(ROWS, COLS, 2)).astype(np.float64)
     labels = (values[:, :, 0] > 2048).astype(np.uint8)
     directory.mkdir()
-    save_cube(AlignedCube(("B4", "B8"), values), directory / "cube.json")
+    save_cube(values, ROWS, COLS, ("B4", "B8"), directory / "cube.json")
     band = values[:COLS, :, 0]  # bands are square
     save_stack(BandStack((make_band("B4", band),), extent_m=10.0 * COLS), directory / "s.json")
     write_float_raster(values[:, :, 1] / 7.0, directory / "r.f32")
@@ -326,7 +326,7 @@ def test_artifacts_honour_the_umask(tmp_path):
     old = os.umask(0o022)
     try:
         write_mask(np.eye(3), tmp_path / "m.pgm")
-        save_cube(AlignedCube(("B8",), np.ones((2, 3, 1))), tmp_path / "cube.json")
+        save_cube(np.ones((2, 3, 1)), 2, 3, ("B8",), tmp_path / "cube.json")
         write_float_raster(np.ones((2, 3)), tmp_path / "r.f32")
         save_model(init_model(0, Normalizer(np.zeros(13), np.ones(13)), CANONICAL_ORDER),
                    tmp_path / "model.json")

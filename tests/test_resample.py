@@ -4,7 +4,6 @@ import pytest
 from conftest import make_band, oracle_lanczos3, oracle_resample
 from litterscan.raster_io import BandStack
 from litterscan.resample import (
-    AlignedCube,
     align_stack,
     lanczos3_kernel,
     load_cube,
@@ -94,20 +93,21 @@ def test_linearity():
 def test_align_stack_mixed_resolutions():
     b2 = make_band("B2", np.arange(16).reshape(4, 4))
     b11 = make_band("B11", np.full((2, 2), 500))
-    cube = align_stack(BandStack((b2, b11), extent_m=40.0))
-    assert (cube.rows, cube.cols, cube.n_bands) == (4, 4, 2)
-    assert cube.band_ids == ("B2", "B11")
+    stack = BandStack((b2, b11), extent_m=40.0)
+    cube = align_stack(stack)
+    assert cube.shape == (4, 4, 2) and cube.dtype == np.float64
+    assert stack.band_ids == ("B2", "B11")
     # native-resolution band passes through exactly
-    assert np.array_equal(cube.plane("B2"), np.arange(16.0).reshape(4, 4))
-    assert np.abs(cube.plane("B11") - 500.0).max() < 1e-9 * 500
+    assert np.array_equal(cube[:, :, 0], np.arange(16.0).reshape(4, 4))
+    assert np.abs(cube[:, :, 1] - 500.0).max() < 1e-9 * 500
 
 
 def test_align_stack_only_10m_is_identity():
     b2 = make_band("B2", np.arange(9).reshape(3, 3))
     b8 = make_band("B8", np.arange(9, 18).reshape(3, 3))
     cube = align_stack(BandStack((b2, b8), extent_m=30.0))
-    assert np.array_equal(cube.plane("B2"), np.arange(9.0).reshape(3, 3))
-    assert np.array_equal(cube.plane("B8"), np.arange(9.0, 18.0).reshape(3, 3))
+    assert np.array_equal(cube[:, :, 0], np.arange(9.0).reshape(3, 3))
+    assert np.array_equal(cube[:, :, 1], np.arange(9.0, 18.0).reshape(3, 3))
 
 
 def test_align_stack_60m_matches_oracle():
@@ -116,23 +116,28 @@ def test_align_stack_60m_matches_oracle():
     b1 = make_band("B1", px)
     b2 = make_band("B2", rng.integers(0, 4096, size=(18, 18)))
     cube = align_stack(BandStack((b1, b2), extent_m=180.0))
-    assert cube.plane("B1").shape == (18, 18)
-    assert np.abs(cube.plane("B1") - oracle_resample(px, 6)).max() < 1e-9
+    assert cube.shape == (18, 18, 2)
+    assert np.abs(cube[:, :, 0] - oracle_resample(px, 6)).max() < 1e-9
 
 
 def test_cube_container_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     values = rng.integers(0, 4096, size=(5, 4, 3)).astype(np.float64)
-    cube = AlignedCube(("B2", "B3", "B8"), values)
     path = tmp_path / "cube.json"
-    save_cube(cube, path)
-    back = load_cube(path)
-    assert back.band_ids == cube.band_ids
-    assert np.array_equal(back.values, cube.values)
+    save_cube(values, 5, 4, ("B2", "B3", "B8"), path)
+    band_ids, back = load_cube(path)
+    assert band_ids == ("B2", "B3", "B8")
+    assert back.dtype == np.float32 and np.array_equal(back, values)
 
 
-def test_cube_validation():
-    with pytest.raises(ValueError, match="finite"):
-        AlignedCube(("B2",), np.full((2, 2, 1), np.nan))
-    with pytest.raises(ValueError):
-        AlignedCube(("B2", "B3"), np.zeros((2, 2, 1)))
+def test_cube_validation(tmp_path):
+    """A cube is read only with a finite value in every band of every pixel,
+    and only with one value per band and pixel."""
+    values = np.zeros((2, 2, 1))
+    values[1, 0, 0] = np.nan
+    save_cube(values, 2, 2, ("B2",), tmp_path / "cube.json")
+    with pytest.raises(ValueError, match="cube values must be finite"):
+        load_cube(tmp_path / "cube.json")
+    save_cube(np.zeros((2, 2, 1)), 2, 2, ("B2", "B3"), tmp_path / "cube.json")
+    with pytest.raises(ValueError, match="payload has 4 samples, expected 8"):
+        load_cube(tmp_path / "cube.json")

@@ -1,7 +1,9 @@
 """`predict` and `index` read the cube in row blocks and write each block's
-result as it is computed: the artifacts do not depend on the block size, a
-bad value in the last block leaves no output, no map larger than one block
-is built, and memory stays below 1 B per pixel with one-row blocks.
+result as it is computed: each block reaches the index or the network as
+the float32 rows read from the payload, the artifacts do not depend on the
+block size, a bad value in any band of the last block leaves no output, no
+map larger than one block is built, and memory stays below 1 B per pixel
+with one-row blocks.
 `resample` builds and writes the cube in row blocks: its bytes do not depend
 on the block size and it holds the stack plus one block; `align_stack`
 holds one float64 cube. From a second block on, both streams use one helper
@@ -113,6 +115,19 @@ def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, cap
     assert list(out.iterdir()) == []
 
 
+def test_blocks_reach_fn_as_the_float32_rows_read(tmp_path, monkeypatch):
+    """`map_cube_rows` hands fn the header's band ids and each block as read
+    from the payload: float32, not a widened copy."""
+    cube = write_cube(tmp_path, ROWS, COLS)
+    payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4").reshape(ROWS, COLS, -1)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 5 * COLS)  # 5 blocks, two threads
+    header = resample.read_cube_header(cube)
+    got = list(resample.map_cube_rows(header, lambda band_ids, block: (band_ids, block)))
+    assert [band_ids for band_ids, _ in got] == [CANONICAL_ORDER] * 5
+    assert all(block.dtype == np.float32 for _, block in got)
+    assert np.array_equal(np.concatenate([block for _, block in got]), payload)
+
+
 def test_no_map_larger_than_one_block_is_built(tmp_path, monkeypatch):
     cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)  # one-row blocks
@@ -220,7 +235,8 @@ def test_align_and_save_hold_one_float64_cube(tmp_path, monkeypatch):
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", size)
     tracemalloc.start()
     try:
-        resample.save_cube(resample.align_stack(stack), tmp_path / "cube.json")
+        resample.save_cube(resample.align_stack(stack), size, size, stack.band_ids,
+                           tmp_path / "cube.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,21 +369,22 @@ def test_only_a_stream_with_a_second_block_starts_a_thread(tmp_path, monkeypatch
 def test_nonfinite_value_in_either_thread_leaves_no_file_and_no_thread(
         tmp_path, monkeypatch, capsys, row, helper):
     """With one-row blocks the helper computes the even rows and the calling
-    thread the odd ones; row 0 fails while the calling thread computes row 1."""
+    thread the odd ones; row 0 fails while the calling thread computes row 1.
+    The NaN is in B6, which `ndvi` does not read: the whole block is checked."""
     cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
     payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4").reshape(ROWS, COLS, -1)
     payload[row, COLS // 2, 5] = np.nan
     payload.tofile(tmp_path / "cube.f32")
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)
     failed_in = []
-    cube_of = resample._cube
+    finite = resample._finite
 
-    def recording_cube(header, rows):
+    def recording_finite(rows):
         if not np.isfinite(rows).all():
             failed_in.append(threading.current_thread() is not threading.main_thread())
-        return cube_of(header, rows)
+        return finite(rows)
 
-    monkeypatch.setattr(resample, "_cube", recording_cube)
+    monkeypatch.setattr(resample, "_finite", recording_finite)
     out = tmp_path / "out"
     out.mkdir()
     threads = threading.active_count()
