@@ -141,12 +141,12 @@ def _cmd_index(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    band_ids, values = resample.load_cube(args.cube)
-    samples = dataset.extract_samples(values, raster_io.read_mask(args.mask))
-    del values  # `samples` holds them, widened to float64
-    log.info("dataset: %s", dataset.dataset_report(samples))
+    header = resample.read_cube_header(args.cube)
+    labels = raster_io.read_mask(args.mask)
+    dataset.check_grid(header, labels)  # before balance: a wrong mask fails as a mismatch
+    log.info("dataset: %s", dataset.dataset_report(labels))
 
-    balanced = dataset.balance(samples, args.seed)
+    balanced = dataset.extract_samples(header, labels, dataset.balance(labels, args.seed))
     spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.test_frac, args.seed)
     train_raw, val_raw, test_raw = dataset.split(balanced, spec)
     norm = dataset.fit_normalizer(train_raw)
@@ -155,7 +155,7 @@ def _cmd_train(args) -> None:
     test_set = dataset.normalize_set(norm, test_raw)
 
     cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
-    model = mlp.init_model(args.seed, norm, band_ids)
+    model = mlp.init_model(args.seed, norm, header.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
     test_pred = mlp.forward_batch(model, test_set.features) >= mlp.SCORE_THRESHOLD
@@ -165,7 +165,7 @@ def _cmd_train(args) -> None:
 
     mlp.save_model(model, args.out)
     raster_io.write_json(args.report or args.out + ".report.json", {
-        "dataset": dataset.dataset_report(balanced),
+        "dataset": dataset.dataset_report(balanced.labels),
         "split": {"train": len(train_set), "val": len(val_set), "test": len(test_set)},
         "training": dataclasses.asdict(report),
         "test": test_metrics,

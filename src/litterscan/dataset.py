@@ -1,5 +1,5 @@
-"""Labeled per-pixel samples: extraction, class balancing, 70/15/15 split,
-min-max input normalization.
+"""Labeled per-pixel samples: class balancing on the labels, extraction of
+the kept pixels from the cube, 70/15/15 split, min-max input normalization.
 
 All randomness flows through the SplitMix64 generator so a given seed
 reproduces the exact same splits and subsets.
@@ -7,12 +7,14 @@ reproduces the exact same splits and subsets.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import CANONICAL_ORDER
 from .raster_io import check_labels
+from .resample import CubeHeader, map_cube_rows
 from .rng import SplitMix64
 
 N_FEATURES = len(CANONICAL_ORDER)
@@ -87,33 +89,52 @@ class SplitSpec:
             raise ValueError("split fractions must sum to 1")
 
 
-def extract_samples(values: np.ndarray, mask: np.ndarray) -> SampleSet:
-    """One sample per pixel: the 13 band values of a (rows, cols, 13) cube,
-    widened to float64, + the {0, 1} label of a mask on the cube's grid."""
-    rows, cols, n_bands = values.shape
-    if mask.shape != (rows, cols):
-        raise ValueError(f"mask {'x'.join(map(str, mask.shape))} does not match cube "
-                         f"{rows}x{cols}")
-    if n_bands != N_FEATURES:
-        raise ValueError(f"cube has {n_bands} bands, need {N_FEATURES}")
-    return SampleSet(values.reshape(-1, N_FEATURES), mask.reshape(-1))
+def check_grid(header: CubeHeader, labels: np.ndarray) -> None:
+    """Raise ValueError unless `labels` lie on the cube's grid and the cube
+    has the 13 bands of a sample."""
+    if labels.shape != (header.rows, header.cols):
+        raise ValueError(f"mask {'x'.join(map(str, labels.shape))} does not match cube "
+                         f"{header.rows}x{header.cols}")
+    if len(header.band_ids) != N_FEATURES:
+        raise ValueError(f"cube has {len(header.band_ids)} bands, need {N_FEATURES}")
 
 
-def balance(samples: SampleSet, seed: int) -> SampleSet:
-    """Undersample the majority class to the minority count.
+def balance(labels: np.ndarray, seed: int) -> np.ndarray:
+    """The sorted flat indices of the pixels kept when the majority class of
+    the {0, 1} `labels` is undersampled to the minority count.
 
     The majority subset is the first k entries of a seeded Fisher-Yates
-    shuffle of the majority indices; the kept indices are then emitted in
-    their original order.
+    shuffle of the majority indices.
     """
-    idx0 = np.flatnonzero(samples.labels == 0)
-    idx1 = np.flatnonzero(samples.labels == 1)
+    check_labels(labels)
+    idx0 = np.flatnonzero(labels == 0)
+    idx1 = np.flatnonzero(labels == 1)
     if idx0.size == 0 or idx1.size == 0:
         raise ValueError("both classes must be present to balance")
     minority, majority = (idx0, idx1) if idx0.size <= idx1.size else (idx1, idx0)
     perm = SplitMix64(seed).permutation(majority.size)
-    keep = np.sort(np.concatenate([minority, majority[perm[:minority.size]]]))
-    return samples.take(keep)
+    return np.sort(np.concatenate([minority, majority[perm[:minority.size]]]))
+
+
+def extract_samples(header: CubeHeader, labels: np.ndarray, pixels: np.ndarray) -> SampleSet:
+    """One sample per pixel of `pixels`, flat indices into the cube's grid,
+    in row-major order: its 13 band values, widened to float64, and its
+    label in `labels`, a mask on that grid. The cube is read in row blocks
+    (`resample.map_cube_rows`), so every value of every band is checked,
+    and only the chosen pixels of a block are kept."""
+    check_grid(header, labels)
+    keep = np.zeros(labels.shape, dtype=bool)
+    keep.flat[pixels] = True
+    features = np.empty((np.count_nonzero(keep), N_FEATURES))
+    n = r0 = 0
+    # closed on any error, so the stream's helper thread stops here
+    with contextlib.closing(map_cube_rows(header, lambda band_ids, block: block)) as blocks:
+        for block in blocks:
+            chosen = block[keep[r0:r0 + len(block)]]
+            features[n:n + len(chosen)] = chosen
+            n += len(chosen)
+            r0 += len(block)
+    return SampleSet(features, labels[keep])
 
 
 def split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSet, SampleSet]:
@@ -150,11 +171,13 @@ def normalize_set(norm: Normalizer, samples: SampleSet) -> SampleSet:
     return SampleSet(apply_normalizer(norm, samples.features), samples.labels)
 
 
-def dataset_report(samples: SampleSet) -> dict:
+def dataset_report(labels: np.ndarray) -> dict:
+    """Class counts of the {0, 1} `labels` and whether they give more than
+    MIN_SAMPLES_PER_WEIGHT samples per network weight."""
     from .mlp import N_PARAMS  # mlp imports this module, so bind at call time
 
-    n = len(samples)
-    n_pos = int(samples.labels.sum())
+    n = labels.size
+    n_pos = int(np.count_nonzero(labels))
     spw = n / N_PARAMS
     return {
         "n_samples": n,

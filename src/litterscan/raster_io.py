@@ -136,14 +136,23 @@ def atomic_write(path: str | os.PathLike, header: bytes,
     _write([(path, header, lambda b: np.ascontiguousarray(b, dtype=dtype))], values)
 
 
-def _f4(block: np.ndarray) -> np.ndarray:
-    """`block` as <f4, every value of which must be finite: a value beyond
-    float32's range would be cast to inf."""
-    with np.errstate(over="ignore"):
-        f4 = np.ascontiguousarray(block, dtype="<f4")
-    if not np.isfinite(f4).all():
-        raise ValueError("map values must be finite in float32")
-    return f4
+def _f4(what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The encoder of a block of `what` values as <f4, every value of which
+    must be finite: a value beyond float32's range would be cast to inf."""
+    def encode(block: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            f4 = np.ascontiguousarray(block, dtype="<f4")
+        if not np.isfinite(f4).all():
+            raise ValueError(f"{what} values must be finite in float32")
+        return f4
+    return encode
+
+
+def write_f4(path: str | os.PathLike, values: np.ndarray | Iterable[np.ndarray],
+             what: str) -> None:
+    """`values`, an array or its row blocks, as raw <f4 at `path`; a value
+    not finite in float32 raises ValueError naming `what`, and no file is left."""
+    _write([(path, b"", _f4(what))], values)
 
 
 def _pgm(threshold: float | None) -> Callable[[np.ndarray], np.ndarray]:
@@ -171,7 +180,7 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
     files = []
     if raster is not None:
         sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
-        files += [(raster, b"", _f4),  # the sidecar is header only
+        files += [(raster, b"", _f4("map")),  # the sidecar is header only
                   (f"{os.fspath(raster)}.json", sidecar, lambda b: b"")]
     if mask is not None:
         files.append((mask, f"P5\n{cols} {rows}\n255\n".encode("ascii"), _pgm(threshold)))

@@ -24,8 +24,8 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .bands import check_band_ids
-from .raster_io import (BandStack, atomic_write, check_payload_size, commit, read_dims,
-                        read_json_object, row_ranges, write_json)
+from .raster_io import (BandStack, check_payload_size, commit, read_dims, read_json_object,
+                        row_ranges, write_f4, write_json)
 
 SUPPORTED_SCALES = (1, 2, 3, 6)
 
@@ -156,10 +156,11 @@ def save_cube(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
               band_ids: Sequence[str], manifest_path: str | os.PathLike) -> None:
     """Write a rows x cols cube of `band_ids`, an array or its row blocks
     (`StackAlignment.blocks`), as the payload `<stem>.f32`, then the
-    manifest, in one commit."""
+    manifest, in one commit. A value not finite in float32 raises
+    ValueError and no file is left, so every cube written can be read."""
     payload = os.path.splitext(manifest_path)[0] + ".f32"
     with commit():
-        atomic_write(payload, b"", blocks, "<f4")
+        write_f4(payload, blocks, "cube")
         write_json(manifest_path, {"rows": rows, "cols": cols, "bands": list(band_ids),
                                    "dtype": "f32le", "file": os.path.basename(payload)})
 
@@ -260,7 +261,8 @@ def map_cube_rows(header: CubeHeader,
                   fn: Callable[[tuple[str, ...], np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
     """fn(band ids, block) for each row block of the cube
     (`raster_io.row_ranges`), yielded in order: fn maps an (n, cols, n_bands)
-    float32 block, as read and checked by `_finite`, to an (n, cols) result.
+    float32 block, as read and checked by `_finite`, to its result for those
+    n rows (a map block, or the block itself).
     This thread reads every block. From a second block on, alternate blocks
     are checked and mapped by one helper thread while this thread does the
     others, so at most two blocks of the cube are in memory at a time; a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cube
+from litterscan import raster_io
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import (
     Normalizer,
@@ -12,12 +13,14 @@ from litterscan.dataset import (
     SplitSpec,
     apply_normalizer,
     balance,
+    check_grid,
     dataset_report,
     extract_samples,
     fit_normalizer,
     normalize_set,
     split,
 )
+from litterscan.resample import read_cube_header, save_cube
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -39,64 +42,89 @@ def sample_set(labels, seed=0):
     return SampleSet(feats, labels)
 
 
-def test_extract_samples_basic():
-    cube = full_cube(2, 2)
+def write_full_cube(path, rows, cols, seed=0):
+    """A (rows, cols, 13) cube of integer values, saved at `path`, and its header."""
+    cube = full_cube(rows, cols, seed)
+    save_cube(cube, rows, cols, CANONICAL_ORDER, path)
+    return cube, read_cube_header(path)
+
+
+def test_extract_samples_basic(tmp_path):
+    cube, header = write_full_cube(tmp_path / "c.json", 2, 2)
     mask = np.array([[True, False], [False, True]])
-    s = extract_samples(cube, mask)
+    s = extract_samples(header, mask, np.arange(4))
     assert len(s) == 4
     assert list(s.labels) == [1, 0, 0, 1]
     assert np.array_equal(s.features[1], cube[0, 1])
 
 
-def test_extract_samples_dimension_mismatch():
-    cube = full_cube(2, 2)
+def test_extract_samples_keeps_the_chosen_pixels_in_row_major_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 2 * 7)  # 4 blocks of 2 rows, then 1
+    cube, header = write_full_cube(tmp_path / "c.json", 9, 7, seed=3)
+    mask = np.random.default_rng(3).random((9, 7)) < 0.3
+    pixels = np.array([0, 5, 13, 14, 30, 62])  # in 4 of the 5 blocks; the last pixel
+    s = extract_samples(header, mask, pixels)
+    assert np.array_equal(s.features, cube.reshape(-1, 13)[pixels])
+    assert np.array_equal(s.labels, mask.reshape(-1)[pixels])
+
+
+def test_extract_samples_dimension_mismatch(tmp_path):
+    _, header = write_full_cube(tmp_path / "c.json", 2, 2)
     mask = np.zeros((3, 3), dtype=bool)
-    with pytest.raises(ValueError, match="does not match"):
-        extract_samples(cube, mask)
+    with pytest.raises(ValueError, match="mask 3x3 does not match cube 2x2"):
+        extract_samples(header, mask, np.arange(4))
+
+
+def test_extract_samples_needs_13_bands(tmp_path):
+    save_cube(np.ones((2, 2, 3)), 2, 2, ("B4", "B8", "B11"), tmp_path / "c.json")
+    with pytest.raises(ValueError, match="cube has 3 bands, need 13"):
+        check_grid(read_cube_header(tmp_path / "c.json"), np.zeros((2, 2), dtype=bool))
 
 
 def test_extract_standard_grid_sample_count():
-    # full 60 m product grid; zero-filled planes keep this cheap
-    _, cube = make_cube({bid: np.zeros((1830, 1830)) for bid in CANONICAL_ORDER})
+    # full 60 m product grid: one sample per pixel of the mask
     labels = np.zeros((1830, 1830), dtype=np.uint8)
     labels[0, 0] = 1
-    s = extract_samples(cube, labels)
-    assert len(s) == 3_348_900
-    rep = dataset_report(s)
+    rep = dataset_report(labels)
     assert rep["n_samples"] == 3_348_900
+    assert (rep["n_negative"], rep["n_positive"]) == (3_348_899, 1)
     assert rep["samples_per_weight"] == 3_348_900 / 151
     assert rep["samples_per_weight"] > 15
     assert rep["samples_per_weight_ok"]
 
 
 def test_balance_counts():
-    s = sample_set([0] * 900 + [1] * 100)
-    out = balance(s, seed=0)
-    assert len(out) == 200
-    assert out.labels.sum() == 100
+    labels = np.array([0] * 900 + [1] * 100, dtype=np.uint8)
+    kept = balance(labels, seed=0)
+    assert len(kept) == 200
+    assert labels[kept].sum() == 100
 
 
 def test_balance_keeps_minority_and_is_deterministic():
-    s = sample_set([0] * 30 + [1] * 10)
-    a = balance(s, seed=7)
-    b = balance(s, seed=7)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
-    # every minority sample retained
-    minority_ids = set(s.features[s.labels == 1][:, 0])
-    assert minority_ids <= set(a.features[:, 0])
+    labels = np.array([0] * 30 + [1] * 10, dtype=np.uint8)
+    a = balance(labels, seed=7)
+    assert np.array_equal(a, balance(labels, seed=7))
+    assert set(np.flatnonzero(labels == 1)) <= set(a)  # every minority pixel retained
+    assert list(a) == sorted(set(a))
 
 
 def test_balance_already_balanced_identity():
-    s = sample_set([0] * 50 + [1] * 50)
-    out = balance(s, seed=3)
-    assert np.array_equal(out.features, s.features)
-    assert np.array_equal(out.labels, s.labels)
+    labels = np.array([0] * 50 + [1] * 50, dtype=np.uint8)
+    assert np.array_equal(balance(labels, seed=3), np.arange(100))
+
+
+def test_balance_of_a_mask_gives_flat_pixel_indices():
+    mask = np.zeros((4, 5), dtype=bool)
+    mask[1, 2] = mask[3, 4] = True
+    kept = balance(mask, seed=0)
+    assert len(kept) == 4
+    assert {7, 19} <= set(kept)
+    assert mask.reshape(-1)[kept].sum() == 2
 
 
 def test_balance_requires_both_classes():
     with pytest.raises(ValueError, match="both classes"):
-        balance(sample_set([0] * 10), seed=0)
+        balance(np.zeros(10, dtype=np.uint8), seed=0)
 
 
 def test_split_sizes_100():
@@ -175,9 +203,8 @@ def _reference():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_balance_matches_reference_fixture(seed):
     ref = _reference()
-    s = sample_set(ref["labels"])
-    out = balance(s, seed=seed)
-    assert list(out.features[:, 0].astype(int)) == ref["balance"][str(seed)]
+    out = balance(np.array(ref["labels"], dtype=np.uint8), seed=seed)
+    assert list(out) == ref["balance"][str(seed)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

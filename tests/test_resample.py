@@ -133,11 +133,23 @@ def test_cube_container_round_trip(tmp_path):
 def test_cube_validation(tmp_path):
     """A cube is read only with a finite value in every band of every pixel,
     and only with one value per band and pixel."""
-    values = np.zeros((2, 2, 1))
-    values[1, 0, 0] = np.nan
-    save_cube(values, 2, 2, ("B2",), tmp_path / "cube.json")
+    save_cube(np.zeros((2, 2, 1)), 2, 2, ("B2",), tmp_path / "cube.json")
+    payload = np.zeros(4, dtype="<f4")
+    payload[2] = np.nan  # written past save_cube, which refuses it
+    payload.tofile(tmp_path / "cube.f32")
     with pytest.raises(ValueError, match="cube values must be finite"):
         load_cube(tmp_path / "cube.json")
     save_cube(np.zeros((2, 2, 1)), 2, 2, ("B2", "B3"), tmp_path / "cube.json")
     with pytest.raises(ValueError, match="payload has 4 samples, expected 8"):
         load_cube(tmp_path / "cube.json")
+
+
+@pytest.mark.parametrize("bad", [1e39, np.nan])
+def test_save_cube_refuses_a_value_not_finite_in_float32(tmp_path, bad):
+    """1e39 is finite in float64 but would be written as inf: a cube that
+    no reader accepts is not written."""
+    values = np.ones((2, 2, 1))
+    values[1, 1, 0] = bad
+    with pytest.raises(ValueError, match="cube values must be finite in float32"):
+        save_cube(values, 2, 2, ("B8",), tmp_path / "c.json")
+    assert list(tmp_path.iterdir()) == []

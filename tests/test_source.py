@@ -1,5 +1,6 @@
 """Source hygiene of the package: every name a module imports is used there,
-and only raster_io writes, renames or removes a file."""
+only raster_io writes, renames or removes a file, and a payload is read in
+bulk in two places only."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,26 @@ def test_only_raster_io_changes_files(path):
         assert lines, "the checker no longer sees raster_io's own writes"
     else:
         assert not lines, f"{path.name} writes, renames or removes a file at lines {lines}"
+
+
+# The two bulk payload readers: `raster_io.read_payload` (band payloads and
+# float rasters) and `resample._read_rows` (the cube's row blocks, under
+# `load_cube` and `map_cube_rows`). A third would be a cube read that skips
+# the block stream and its check of every value.
+FROMFILE_READERS = {("raster_io.py", "read_payload"), ("resample.py", "_read_rows")}
+
+
+def fromfile_uses(path: Path):
+    """(file name, name of the top-level function or None) of each use of a
+    `fromfile` attribute in the module at `path`, called or not."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "fromfile":
+                yield path.name, name
+
+
+def test_only_the_two_payload_readers_call_fromfile():
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in fromfile_uses(path)]
+    assert sorted(uses) == sorted(FROMFILE_READERS), uses
