@@ -1,10 +1,11 @@
 """Lanczos3 band alignment onto the finest grid, and the cube container,
 which is written (`StackAlignment.blocks`) and read (`map_cube_rows`) in row blocks.
 A cube is described by its band ids (in `CubeHeader`) and its values, a plain
-(rows, cols, n_bands) array; a block read from the payload stays float32.
-Both streams put one helper thread to work beside the calling thread once
-there is a second block: numpy releases the interpreter lock for the block
-arithmetic, so the two threads use two cores.
+(rows, cols, n_bands) array; a block, built from the bands or read from
+the payload, is float32. Both streams run through `_in_order`, the one place
+that starts a thread: from a second block on, one helper thread computes
+alternate blocks beside the calling thread, and numpy releases the
+interpreter lock for the block arithmetic, so the two threads use two cores.
 
 Conventions (these make constant images constant and keep the grids
 concentric):
@@ -15,9 +16,8 @@ concentric):
 
 from __future__ import annotations
 
-import contextlib
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -93,8 +93,8 @@ def resample_band(img: np.ndarray, scale: int) -> np.ndarray:
 
 class StackAlignment:
     """A stack's bands resampled onto the finest grid present, computed one
-    output row block at a time from the bands' own pixels. Taps are built
-    once per band and axis."""
+    float32 output row block at a time from the bands' own pixels, each
+    block by one thread. Taps are built once per band and axis."""
 
     def __init__(self, stack: BandStack):
         finest = min(stack.bands, key=lambda b: b.spec.native_gsd_m)
@@ -108,43 +108,24 @@ class StackAlignment:
                 raise ValueError(f"band {b.spec.id}: grid ratio {ratio} unsupported")
             self._bands.append((b.pixels, _grid_taps(b.pixels.shape, scale)))
 
-    def rows_block(self, r0: int, r1: int, helper: Executor | None = None) -> np.ndarray:
-        """Output rows r0:r1 of every band, interleaved (finite: interpolated
-        from uint16). With a `helper` executor, its thread and this one take
-        band planes in turn, each the next one not yet taken, and fill them
-        in the one block; a plane's values do not depend on the thread."""
-        values = np.empty((r1 - r0, self.cols, len(self._bands)))
-        planes = iter(range(len(self._bands)))  # next() on it is atomic: each plane is taken once
-
-        def fill():
-            for i in planes:
-                img, taps = self._bands[i]
-                values[:, :, i] = _resample_rows(img, taps, r0, r1)
-
-        if helper is None:
-            fill()
-            return values
-        theirs = helper.submit(fill)
-        try:
-            fill()
-        finally:
-            theirs.result()
+    def rows_block(self, r0: int, r1: int) -> np.ndarray:
+        """Output rows r0:r1 of every band, interleaved, as float32, the
+        dtype the cube is written in (finite: interpolated from uint16)."""
+        values = np.empty((r1 - r0, self.cols, len(self._bands)), dtype=np.float32)
+        for i, (img, taps) in enumerate(self._bands):
+            values[:, :, i] = _resample_rows(img, taps, r0, r1)
         return values
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The aligned values in row blocks (`raster_io.row_ranges`). From a
-        second block on, one helper thread fills band planes of each block
-        beside this one (`rows_block`); a block is complete before it is
-        yielded, so one block is held at a time."""
-        ranges = list(row_ranges(self.rows, self.cols))
-        with _helper_thread(len(ranges) > 1) as helper:
-            for r0, r1 in ranges:
-                yield self.rows_block(r0, r1, helper)
+        """The aligned values in row blocks (`raster_io.row_ranges`), computed
+        by `_in_order`: from a second block on, one helper thread builds
+        alternate blocks beside this thread."""
+        return _in_order(lambda rows: self.rows_block(*rows), row_ranges(self.rows, self.cols))
 
 
 def align_stack(stack: BandStack) -> np.ndarray:
     """Every band resampled to the finest grid present in the stack, as one
-    (rows, cols, n_bands) float64 array in the stack's band order."""
+    (rows, cols, n_bands) float32 array in the stack's band order."""
     aligned = StackAlignment(stack)
     return aligned.rows_block(0, aligned.rows)
 
@@ -215,46 +196,47 @@ def load_cube(manifest_path: str | os.PathLike) -> tuple[tuple[str, ...], np.nda
         return header.band_ids, _finite(_read_rows(f, header, header.rows))
 
 
-@contextlib.contextmanager
-def _helper_thread(needed: bool) -> Iterator[Executor | None]:
-    """One helper thread if `needed`, else None. On exit a task not yet
-    started is cancelled and a running one is waited for, so the thread
-    never outlives the stream that started it."""
-    if not needed:
-        yield None
+_END = object()  # the end of an item stream: no item is this object
+
+
+def _in_order(fn: Callable, items: Iterable) -> Iterator:
+    """fn(item) for each of `items`, yielded in order; `items` is advanced
+    in this thread only. From a second item on, one helper thread computes
+    alternate items while this thread computes the others, so at most two
+    are computed at once; zero or one item starts no thread. A failure
+    raises the error of the earliest failing item, as a serial pass would.
+    An item or result is dropped as soon as it is submitted or yielded. On
+    exit an item not yet started is cancelled and a running one is waited
+    for, so the thread never outlives the stream."""
+    items = iter(items)
+    first = next(items, _END)
+    item = next(items, _END)  # this thread's item
+    if item is _END:
+        if first is not _END:
+            yield fn(first)
         return
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        yield helper
+        pending = helper.submit(fn, first)  # the helper's item, which comes before this thread's
+        del first
+        while item is not _END:
+            try:
+                mine = fn(item)
+            finally:
+                del item
+                theirs = pending.result()
+            item = next(items, _END)  # the helper's next item, started before the yields
+            pending = None if item is _END else helper.submit(fn, item)
+            del item
+            yield theirs
+            del theirs
+            yield mine
+            del mine
+            item = next(items, _END)
+        if pending is not None:  # an odd count: the last item is the helper's
+            yield pending.result()
     finally:
         helper.shutdown(cancel_futures=True)
-
-
-def _in_order(fn: Callable, items: Iterable, helper: Executor | None) -> Iterator:
-    """fn(item) for each of `items`, yielded in order; `items` is advanced
-    in this thread only. With a `helper` executor, alternate items are
-    computed there while this thread computes the others, so at most two
-    are computed at once. A failure raises the error of the earliest
-    failing item, as a serial pass would."""
-    if helper is None:
-        yield from map(fn, items)
-        return
-    items = iter(items)
-    pending = None  # the helper's item, which comes before this thread's
-    for item in items:
-        if pending is None:
-            pending = helper.submit(fn, item)
-            continue
-        try:
-            mine = fn(item)
-        finally:
-            theirs = pending.result()
-        item = next(items, None)  # the helper's next item, started before the yields
-        pending = None if item is None else helper.submit(fn, item)
-        yield theirs
-        yield mine
-    if pending is not None:  # an odd count: the last item is the helper's
-        yield pending.result()
 
 
 def map_cube_rows(header: CubeHeader,
@@ -267,7 +249,7 @@ def map_cube_rows(header: CubeHeader,
     are checked and mapped by one helper thread while this thread does the
     others, so at most two blocks of the cube are in memory at a time; a
     one-block cube starts no thread."""
-    ranges = list(row_ranges(header.rows, header.cols))
-    with open(header.payload, "rb") as f, _helper_thread(len(ranges) > 1) as helper:
+    with open(header.payload, "rb") as f:
         yield from _in_order(lambda rows: fn(header.band_ids, _finite(rows)),
-                             (_read_rows(f, header, r1 - r0) for r0, r1 in ranges), helper)
+                             (_read_rows(f, header, r1 - r0)
+                              for r0, r1 in row_ranges(header.rows, header.cols)))

@@ -1,6 +1,6 @@
 """Source hygiene of the package: every name a module imports is used there,
-only raster_io writes, renames or removes a file, and a payload is read in
-bulk in two places only."""
+only raster_io writes, renames or removes a file, a payload is read in
+bulk in two places only, and one function starts threads."""
 
 import ast
 from pathlib import Path
@@ -74,17 +74,30 @@ def test_only_raster_io_changes_files(path):
 FROMFILE_READERS = {("raster_io.py", "read_payload"), ("resample.py", "_read_rows")}
 
 
-def fromfile_uses(path: Path):
-    """(file name, name of the top-level function or None) of each use of a
-    `fromfile` attribute in the module at `path`, called or not."""
+def top_level_uses(path: Path, names: set[str]):
+    """(file name, name of the top-level function or None) of each use of one
+    of `names`, as a name or an attribute, called or not, in the module at
+    `path`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for top in tree.body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr == "fromfile":
+            if getattr(node, "attr", getattr(node, "id", None)) in names:
                 yield path.name, name
 
 
+def package_uses(names: set[str]):
+    return [use for path in sorted(PACKAGE.glob("*.py")) for use in top_level_uses(path, names)]
+
+
 def test_only_the_two_payload_readers_call_fromfile():
-    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in fromfile_uses(path)]
+    uses = package_uses({"fromfile"})
     assert sorted(uses) == sorted(FROMFILE_READERS), uses
+
+
+# The one threading design: `resample._in_order` computes alternate items of
+# every block stream on its one helper thread. A thread started anywhere
+# else would be a second design beside it.
+def test_only_in_order_starts_a_thread():
+    uses = package_uses({"ThreadPoolExecutor", "Thread"})
+    assert uses == [("resample.py", "_in_order")], uses

@@ -8,17 +8,19 @@ with one-row blocks.
 the labels: its bytes do not depend on the block size or the helper thread,
 a bad value in a pixel it does not keep still fails it, and it holds less
 than the whole cube widened to float64.
-`resample` builds and writes the cube in row blocks: its bytes do not depend
-on the block size and it holds the stack plus one block; `align_stack`
-holds one float64 cube. From a second block on, both streams use one helper
-thread: the bytes are those of a serial run, a failure in either thread
-leaves no file and no thread, and a one-block stream starts no thread."""
+`resample` builds and writes the cube in float32 row blocks: its bytes do not
+depend on the block size and it holds the stack plus a few blocks;
+`align_stack` holds one float32 cube. Both streams run through
+`resample._in_order`: from a second block on, one helper thread computes
+alternate blocks, the bytes are those of a serial run, a failure in either
+thread leaves no file and no thread, a result is dropped once yielded, and
+a one-block stream starts no thread."""
 
 import inspect
 import json
-import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
@@ -279,10 +281,10 @@ def test_resample_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, name,
     blocks = []
     rows_block = resample.StackAlignment.rows_block
 
-    def recording_rows_block(self, r0, r1, *helper):
+    def recording_rows_block(self, r0, r1):
         """Record each block by its first row, so the order of the calls does not matter."""
         blocks.append((r0, r1 - r0))
-        return rows_block(self, r0, r1, *helper)
+        return rows_block(self, r0, r1)
 
     block_pixels = block_rows * size + extra_pixels
     monkeypatch.setattr(resample.StackAlignment, "rows_block", recording_rows_block)
@@ -426,52 +428,54 @@ def test_a_block_the_writer_rejects_leaves_no_file_and_no_thread(tmp_path, monke
     assert threading.active_count() == threads
 
 
-def test_band_planes_are_each_filled_once_by_two_threads(monkeypatch):
-    """Both threads take planes from one iterator: under a very short switch
-    interval, every plane of every block is still computed exactly once."""
-    size = 30
-    rng = np.random.default_rng(2)
-    bands = []
-    for bid in CANONICAL_ORDER:
-        n = int(size * 10 // canonical_spec(bid).native_gsd_m)
-        bands.append(make_band(bid, rng.integers(0, 4096, (n, n))))
-    aligned = resample.StackAlignment(BandStack(tuple(bands), size * 10.0))
-    expect = [aligned.rows_block(r0, r0 + 1) for r0 in range(size)]
-    calls = []
-    resample_rows = resample._resample_rows
-
-    def counting_resample_rows(img, taps, r0, r1):
-        calls.append((r0, id(img)))
-        return resample_rows(img, taps, r0, r1)
-
-    monkeypatch.setattr(resample, "_resample_rows", counting_resample_rows)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for _ in range(5):
-                calls.clear()
-                got = [aligned.rows_block(r0, r0 + 1, helper) for r0 in range(size)]
-                assert all(np.array_equal(g, e) for g, e in zip(got, expect))
-                assert sorted(calls) == sorted((r0, id(b.pixels)) for r0 in range(size)
-                                               for b in bands)
-    finally:
-        sys.setswitchinterval(switch)
-
-
 @pytest.mark.parametrize("failing, first", [((2, 3), 2), ((1, 2), 1), ((5,), 5)])
-def test_the_earliest_failing_block_gives_the_error(failing, first):
+def test_the_earliest_failing_block_gives_the_error(monkeypatch, failing, first):
     """Blocks 0, 2, 4 are the helper's and 1, 3, 5 this thread's; when both
-    threads fail, the error is the one a serial pass would raise."""
+    threads fail, the error is the one a serial pass would raise. An empty
+    or one-item stream makes no executor."""
     def fn(i):
         if i in failing:
             raise ValueError(f"block {i}")
         return i
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        with pytest.raises(ValueError, match=f"block {first}"):
-            list(resample._in_order(fn, range(6), helper))
-        assert list(resample._in_order(lambda i: i, range(5), helper)) == list(range(5))
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"block {first}"):
+        list(resample._in_order(fn, range(6)))
+    assert threading.active_count() == threads
+    assert list(resample._in_order(lambda i: i, range(5))) == list(range(5))
+
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a stream of fewer than two items made an executor")
+
+    monkeypatch.setattr(resample, "ThreadPoolExecutor", no_executor)
+    assert list(resample._in_order(fn, [])) == []
+    assert list(resample._in_order(fn, [0])) == [0]
+    with pytest.raises(ValueError, match=f"block {first}"):
+        list(resample._in_order(fn, [first]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_results_are_dropped_once_yielded(n):
+    """A result, such as a whole block, is not kept once it has been yielded:
+    when the consumer has dropped the first two results and asks for the
+    third, neither is alive, and neither is while this thread computes the
+    fourth item (the helper computes the third beside the yields)."""
+    refs, alive = [], []
+
+    def fn(i):
+        if i == 3:
+            alive.append([ref() is not None for ref in refs])
+        return np.full(1000, float(i))
+
+    stream = resample._in_order(fn, range(n))
+    for _ in range(2):
+        result = next(stream)
+        refs.append(weakref.ref(result))
+        del result
+    assert next(stream)[0] == 2.0
+    assert [ref() is None for ref in refs] == [True, True]
+    assert alive == ([[False, False]] if n == 4 else [])
+    assert [result[0] for result in stream] == list(map(float, range(3, n)))
 
 
 # ---------------------------------------------------------------------------
