@@ -146,11 +146,10 @@ def split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSet, Sa
     perm = SplitMix64(spec.seed).permutation(n)
     n_train = int(n * spec.train_frac)
     n_val = int(n * spec.val_frac)
-    p = np.asarray(perm, dtype=np.int64)
     return (
-        samples.take(p[:n_train]),
-        samples.take(p[n_train:n_train + n_val]),
-        samples.take(p[n_train + n_val:]),
+        samples.take(perm[:n_train]),
+        samples.take(perm[n_train:n_train + n_val]),
+        samples.take(perm[n_train + n_val:]),
     )
 
 

@@ -102,11 +102,9 @@ def init_model(seed: int, normalizer: Normalizer, band_order) -> MlpModel:
     layer; draw order matches the flat weight layout."""
     rng = SplitMix64(seed)
     r_h = math.sqrt(6.0 / (N_FEATURES + N_HIDDEN))
-    wh = np.array(
-        [[rng.uniform(-r_h, r_h) for _ in range(N_FEATURES + 1)] for _ in range(N_HIDDEN)]
-    )
+    wh = rng.uniforms(-r_h, r_h, N_HIDDEN * (N_FEATURES + 1)).reshape(N_HIDDEN, N_FEATURES + 1)
     r_o = math.sqrt(6.0 / (N_HIDDEN + 1))
-    wo = np.array([rng.uniform(-r_o, r_o) for _ in range(N_HIDDEN + 1)])
+    wo = rng.uniforms(-r_o, r_o, N_HIDDEN + 1)
     return MlpModel(wh, wo, normalizer, tuple(band_order))
 
 

@@ -52,11 +52,8 @@ def make_scene(rows: int, cols: int, plastic_frac: float,
     per band around the class mean of each pixel, and the plastic mask."""
     mask = plastic_mask(rows, cols, plastic_frac)
     mean_bg, mean_pl = class_means()
-    rng = SplitMix64(seed)
     # draws in row, column, band order
-    n = rows * cols * N_FEATURES
-    values = np.fromiter((rng.normal() for _ in range(n)), np.float64, n).reshape(
-        rows, cols, N_FEATURES)
+    values = SplitMix64(seed).normals(rows * cols * N_FEATURES).reshape(rows, cols, N_FEATURES)
     values *= SIGMA
     values += np.where(mask[:, :, None], mean_pl, mean_bg)
     return values, mask

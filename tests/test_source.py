@@ -1,6 +1,7 @@
 """Source hygiene of the package: every name a module imports is used there,
 only raster_io writes, renames or removes a file, a payload is read in
-bulk in two places only, and one function starts threads."""
+bulk in two places only, one function starts threads, and only rng draws
+one value at a time."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,14 @@ def test_only_the_two_payload_readers_call_fromfile():
 def test_only_in_order_starts_a_thread():
     uses = package_uses({"ThreadPoolExecutor", "Thread"})
     assert uses == [("resample.py", "_in_order")], uses
+
+
+# The per-draw methods of `rng.SplitMix64`: the oracle of its bulk draws and
+# the step they hand over to. Any other module draws through `uniforms`,
+# `normals` or `permutation`, so no second, scalar stream grows beside them.
+PER_DRAW_METHODS = {"next_u64", "next_float", "next_below", "uniform", "normal", "shuffle"}
+
+
+def test_only_rng_draws_one_value_at_a_time():
+    files = {path for path, _ in package_uses(PER_DRAW_METHODS)}
+    assert files == {"rng.py"}, files

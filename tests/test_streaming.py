@@ -229,7 +229,7 @@ def test_mask_steps_hold_a_few_bytes_per_mask_pixel(tmp_path, monkeypatch):
     assert all(b < 8 for b in per_pixel.values()), per_pixel
 
 
-def test_align_and_save_hold_one_float64_cube(tmp_path, monkeypatch):
+def test_align_and_save_hold_one_float32_cube(tmp_path, monkeypatch):
     size = 240  # 10 m grid; 20 m and 60 m bands are 120² and 40²
     rng = np.random.default_rng(4)
     bands = []
@@ -246,8 +246,10 @@ def test_align_and_save_hold_one_float64_cube(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    cube_bytes = size * size * len(CANONICAL_ORDER) * 8
-    assert peak < 1.5 * cube_bytes, f"{peak / cube_bytes:.2f}x the float64 cube"
+    cube_bytes = size * size * len(CANONICAL_ORDER) * 4
+    # measured 1.70x, set inside align_stack: the float32 cube and the
+    # float64 temporaries of resampling; a second full-size copy would pass 2x
+    assert peak < 1.8 * cube_bytes, f"{peak / cube_bytes:.2f}x the float32 cube"
 
 
 COARSE_IDS = tuple(b for b in CANONICAL_ORDER if canonical_spec(b).native_gsd_m > 10)
@@ -566,7 +568,8 @@ def test_train_holds_less_than_the_cube_widened_to_float64(tmp_path):
     payload_bytes = rows * cols * len(CANONICAL_ORDER) * 4
     # Reading the whole f32 cube and widening every pixel holds 3x the payload
     # before a pixel is dropped (216 MB traced here, before the labels chose
-    # the pixels). Reading only the kept pixels measured 2.16x (112 MB): the
-    # balanced set and its split and normalized copies, and the Python list
-    # of the 900k-entry balancing permutation. 2.5x leaves room for those.
-    assert peak < 2.5 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
+    # the pixels). Reading only the kept pixels measured 2.15x (112 MB), set
+    # inside mlp.train: the balanced set with its split and normalized copies
+    # (64 MB held) and the trainer's temporaries. The permutation that
+    # balances the 900k majority pixels is a 7 MB int64 array, freed before.
+    assert peak < 2.3 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
