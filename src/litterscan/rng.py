@@ -64,7 +64,7 @@ class SplitMix64:
             if z < limit:
                 return z % n
 
-    def shuffle(self, items) -> None:
+    def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, descending index."""
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
