@@ -147,12 +147,19 @@ def _cmd_train(args) -> None:
     log.info("dataset: %s", dataset.dataset_report(labels))
 
     balanced = dataset.extract_samples(header, labels, dataset.balance(labels, args.seed))
+    balanced_report = dataset.dataset_report(balanced.labels)
     spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.test_frac, args.seed)
+    # one float64 copy of the samples is held at a time: each set is dropped
+    # as soon as the sets made from it exist
     train_raw, val_raw, test_raw = dataset.split(balanced, spec)
+    del balanced
     norm = dataset.fit_normalizer(train_raw)
     train_set = dataset.normalize_set(norm, train_raw)
+    del train_raw
     val_set = dataset.normalize_set(norm, val_raw)
+    del val_raw
     test_set = dataset.normalize_set(norm, test_raw)
+    del test_raw
 
     cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
     model = mlp.init_model(args.seed, norm, header.band_ids)
@@ -165,7 +172,7 @@ def _cmd_train(args) -> None:
 
     mlp.save_model(model, args.out)
     raster_io.write_json(args.report or args.out + ".report.json", {
-        "dataset": dataset.dataset_report(balanced.labels),
+        "dataset": balanced_report,
         "split": {"train": len(train_set), "val": len(val_set), "test": len(test_set)},
         "training": dataclasses.asdict(report),
         "test": test_metrics,
@@ -182,9 +189,7 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    pred = raster_io.read_mask(args.pred)
-    truth = raster_io.read_mask(args.truth)
-    cm = evaluation.confusion(pred, truth)
+    cm = evaluation.confusion_of_masks(args.pred, args.truth)
     log.info("\n%s", evaluation.format_report(cm))
     raster_io.write_json(args.out, evaluation.metrics(cm))
 

@@ -1,13 +1,15 @@
 """2x2 confusion matrices and derived rates, reported both as raw ratios
-and as one-decimal percentages."""
+and as one-decimal percentages. Two PGM masks are compared row block by
+row block (`confusion_of_masks`), so no mask is ever read whole."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .raster_io import check_labels
+from .raster_io import check_labels, mask_rows
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,28 @@ def confusion(predicted, truth) -> ConfusionMatrix:
     p, t = np.asarray(predicted), np.asarray(truth)
     check_labels(p)
     check_labels(t)
-    if p.shape != t.shape:
-        raise ValueError(f"size mismatch: predicted {'x'.join(map(str, p.shape))}, "
-                         f"truth {'x'.join(map(str, t.shape))}")
+    _check_shapes(p.shape, t.shape)
     n_p, n_t, tp = (int(np.count_nonzero(a)) for a in (p, t, np.logical_and(p, t)))
     return ConfusionMatrix(tn=p.size - n_p - n_t + tp, fp=n_p - tp, fn=n_t - tp, tp=tp)
+
+
+def _check_shapes(predicted: tuple[int, ...], truth: tuple[int, ...]) -> None:
+    if predicted != truth:
+        raise ValueError(f"size mismatch: predicted {'x'.join(map(str, predicted))}, "
+                         f"truth {'x'.join(map(str, truth))}")
+
+
+def confusion_of_masks(predicted: str | os.PathLike, truth: str | os.PathLike) -> ConfusionMatrix:
+    """The `confusion` of the PGM masks at paths `predicted` and `truth`:
+    both headers are read, and masks on different grids are refused, before
+    any pixel is counted; then the cells are counted per row block of both
+    payloads."""
+    with mask_rows(predicted) as (shape, p_rows), mask_rows(truth) as (t_shape, t_rows):
+        _check_shapes(shape, t_shape)
+        cells = np.zeros(4, dtype=np.int64)  # tn, fp, fn, tp
+        for p, t in zip(p_rows, t_rows):
+            cells += astuple(confusion(p, t))
+    return ConfusionMatrix(*cells.tolist())
 
 
 def metrics(m: ConfusionMatrix) -> dict:

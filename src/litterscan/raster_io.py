@@ -355,38 +355,52 @@ def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
 # ---------------------------------------------------------------------------
 # PGM
 
-def _read_pgm(path: str | os.PathLike) -> np.ndarray:
-    _note_read(path)
-    with open(path, "rb") as f:
-        raw = f.read()
-    if not raw.startswith(b"P5"):
-        magic = raw[:2].decode("ascii", "replace")
-        raise ValueError(f"unsupported PGM variant {magic!r} (binary P5 required)")
+def _pgm_header(f: BinaryIO) -> tuple[int, int, np.dtype]:
+    """rows, cols and sample dtype of the binary PGM open as `f`, which is
+    left at the first payload byte. A payload shorter than rows x cols
+    samples raises ValueError; trailing bytes after it are ignored."""
+    magic = f.read(2)
+    if magic != b"P5":
+        raise ValueError(f"unsupported PGM variant {magic.decode('ascii', 'replace')!r} "
+                         "(binary P5 required)")
     # header: magic, width, height, maxval as whitespace-separated positive
     # decimal integers; '#' comments run to the end of the line or the file
-    tokens, pos = [], 2
+    tokens, c = [], f.read(1)
     while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            pos = raw.find(b"\n", pos) + 1 or len(raw)
+        while c.isspace():
+            c = f.read(1)
+        if c == b"#":
+            f.readline()
+            c = f.read(1)
             continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        token = raw[start:pos]
+        token = bytearray()
+        while c and not c.isspace():
+            token += c
+            c = f.read(1)
         if not token.isdigit() or int(token) == 0:
-            raise ValueError(f"bad PGM header: expected a positive integer, got {token!r}")
+            raise ValueError(f"bad PGM header: expected a positive integer, got {bytes(token)!r}")
         tokens.append(int(token))
-    pos += 1  # single whitespace after maxval
+    # `c`, the single whitespace after maxval, has been read
     cols, rows, maxval = tokens
     if maxval not in (255, 65535):
         raise ValueError(f"PGM maxval {maxval} not supported (255 or 65535)")
     dtype = np.dtype(np.uint8 if maxval == 255 else ">u2")
-    have = max(len(raw) - pos, 0) // dtype.itemsize
-    if have < rows * cols:  # trailing bytes after the payload are ignored
+    have = max(os.fstat(f.fileno()).st_size - f.tell(), 0) // dtype.itemsize
+    if have < rows * cols:
         raise ValueError(f"truncated PGM payload: {have} < {rows * cols}")
-    return np.frombuffer(raw, dtype=dtype, count=rows * cols, offset=pos).reshape(rows, cols)
+    return rows, cols, dtype
+
+
+def _pgm_rows(f: BinaryIO, n_rows: int, cols: int, dtype: np.dtype) -> np.ndarray:
+    """The next `n_rows` rows of the PGM payload open as `f`."""
+    return np.frombuffer(f.read(n_rows * cols * dtype.itemsize), dtype=dtype).reshape(n_rows, cols)
+
+
+def _read_pgm(path: str | os.PathLike) -> np.ndarray:
+    _note_read(path)
+    with open(path, "rb") as f:
+        rows, cols, dtype = _pgm_header(f)
+        return _pgm_rows(f, rows, cols, dtype)
 
 
 def import_pgm_band(path: str | os.PathLike, spec: BandSpec) -> Band:
@@ -397,6 +411,18 @@ def import_pgm_band(path: str | os.PathLike, spec: BandSpec) -> Band:
 def read_mask(path: str | os.PathLike) -> np.ndarray:
     """A PGM mask as a 2-D bool array: True (plastic) where the value is > 0."""
     return _read_pgm(path) > 0
+
+
+@contextlib.contextmanager
+def mask_rows(path: str | os.PathLike) -> Iterator[tuple[tuple[int, int], Iterator[np.ndarray]]]:
+    """The (rows, cols) of the PGM mask at `path`, from its header alone,
+    and an iterator of its row blocks (`row_ranges`) as `read_mask` would
+    give them, each read from the payload when it is asked for."""
+    _note_read(path)
+    with open(path, "rb") as f:
+        rows, cols, dtype = _pgm_header(f)
+        yield (rows, cols), (_pgm_rows(f, r1 - r0, cols, dtype) > 0
+                             for r0, r1 in row_ranges(rows, cols))
 
 
 def write_mask(labels: np.ndarray, path: str | os.PathLike) -> None:

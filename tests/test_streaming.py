@@ -1,13 +1,16 @@
 """`predict` and `index` read the cube in row blocks and write each block's
 result as it is computed: each block reaches the index or the network as
 the float32 rows read from the payload, the artifacts do not depend on the
-block size, a bad value in any band of the last block leaves no output, no
-map larger than one block is built, and memory stays below 1 B per pixel
-with one-row blocks.
+block size or on the network's chunk size, a bad value in any band of the
+last block leaves no output, no map larger than one block is built, and
+memory stays below 1 B per pixel with one-row blocks.
 `train` reads the same block stream and keeps only the pixels it chose from
-the labels: its bytes do not depend on the block size or the helper thread,
-a bad value in a pixel it does not keep still fails it, and it holds less
-than the whole cube widened to float64.
+the labels: its bytes do not depend on the block size, the chunk size or the
+helper thread, a bad value in a pixel it does not keep still fails it, and
+it holds one float64 copy of its samples, less than half the cube widened
+to float64.
+`eval` reads both masks' headers, refuses two grids before it reads a
+payload, and counts the masks row block by row block.
 `resample` builds and writes the cube in float32 row blocks: its bytes do not
 depend on the block size and it holds the stack plus a few blocks;
 `align_stack` holds one float32 cube. Both streams run through
@@ -27,7 +30,7 @@ import numpy as np
 import pytest
 
 from conftest import make_band, write_coast_pgms
-from litterscan import dataset, indexes, raster_io, resample
+from litterscan import dataset, evaluation, indexes, mlp, raster_io, resample
 from litterscan.bands import CANONICAL_ORDER, canonical_spec
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
@@ -35,6 +38,9 @@ from litterscan.mlp import init_model, save_model
 from litterscan.raster_io import BandStack, write_mask
 
 ROWS, COLS = 23, 17  # 391 px
+# chunk sizes of the network's forward pass (`mlp._CHUNK_PIXELS`): single
+# pixels, chunks that straddle rows, and one chunk per block
+CHUNKS = (1, 7, ROWS * COLS)
 
 
 def write_cube(directory, rows, cols, seed=0):
@@ -85,11 +91,13 @@ def artifacts(cube, model, out):
     1,         # a row wider than a block: still one row per block
 ])
 def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixels):
+    """... nor on the chunk size of the network, which is patched to each of
+    CHUNKS in turn: every score is the same computation on its pixel."""
     cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
-    whole = artifacts(cube, model, tmp_path / "whole")
+    whole = artifacts(cube, model, tmp_path / "whole")  # one block, one chunk
     assert len(whole) == 13  # 5 rasters with sidecars, 3 masks
-    blocks = []
-    read_rows = resample._read_rows
+    blocks, chunks = [], []
+    read_rows, forward = resample._read_rows, mlp._forward
 
     def recording_read_rows(f, header, n_rows):
         """Record each block's size, in read order: the payload is read by
@@ -98,13 +106,26 @@ def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixe
         blocks.append(n_rows)
         return read_rows(f, header, n_rows)
 
+    def recording_forward(wh, wo, x):
+        chunks.append(len(x))
+        return forward(wh, wo, x)
+
     monkeypatch.setattr(resample, "_read_rows", recording_read_rows)
+    monkeypatch.setattr(mlp, "_forward", recording_forward)
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
-    assert artifacts(cube, model, tmp_path / "blocked") == whole
     per_block = max(1, block_pixels // COLS)
     full, ragged = divmod(ROWS, per_block)
     per_command = [per_block] * full + ([ragged] if ragged else [])
-    assert blocks == per_command * len(commands(cube, model, tmp_path))
+    for chunk in CHUNKS:
+        monkeypatch.setattr(mlp, "_CHUNK_PIXELS", chunk)
+        blocks.clear()
+        chunks.clear()
+        assert artifacts(cube, model, tmp_path / f"chunk-{chunk}") == whole
+        assert blocks == per_command * len(commands(cube, model, tmp_path))
+        # each block's pixels in chunks of `chunk`, the last one ragged
+        want = [n for rows in per_command
+                for n in [chunk] * (rows * COLS // chunk) + [rows * COLS % chunk] if n]
+        assert sorted(chunks) == sorted(want), chunk
 
 
 def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, capsys):
@@ -188,6 +209,11 @@ def test_streamed_steps_use_less_memory_than_the_cube_payload(tmp_path):
     peaks = {name: traced_peak(argv) for name, argv in steps.items()}
     assert all(peak < payload_bytes for peak in peaks.values()), (
         {name: f"{peak / payload_bytes:.2f}x payload" for name, peak in peaks.items()})
+    # measured 0.21x: two 65 536-pixel blocks in flight, each with its f32
+    # rows and float64 scores, and one chunk's forward pass per thread; a
+    # forward pass over a whole block measured 0.59x
+    assert peaks["predict"] < 0.3 * payload_bytes, (
+        f"predict: {peaks['predict'] / payload_bytes:.2f}x payload")
 
 
 def test_map_steps_hold_less_than_a_byte_per_pixel(tmp_path, monkeypatch):
@@ -226,7 +252,10 @@ def test_mask_steps_hold_a_few_bytes_per_mask_pixel(tmp_path, monkeypatch):
                            "--out", str(tmp_path / "combined.pgm")],
     }
     per_pixel = {name: traced_peak(argv) / (rows * cols) for name, argv in steps.items()}
-    assert all(b < 8 for b in per_pixel.values()), per_pixel
+    assert per_pixel["index combined"] < 8, per_pixel
+    # eval counts both masks per row block: measured 0.10 B/px, most of it the
+    # command's own fixed 70 kB; reading both masks whole measured 3.06 B/px
+    assert per_pixel["eval"] < 0.2, per_pixel
 
 
 def test_align_and_save_hold_one_float32_cube(tmp_path, monkeypatch):
@@ -504,6 +533,8 @@ def trained(cube, mask, out):
 ])
 def test_train_bytes_do_not_depend_on_block_size_or_thread(tmp_path, monkeypatch,
                                                             block_pixels):
+    """... nor on the chunk size with which the test set is scored, patched
+    to each of CHUNKS in turn."""
     cube = write_cube(tmp_path, ROWS, COLS)
     mask = write_mask_for(tmp_path, ROWS, COLS)
     whole = trained(cube, mask, tmp_path / "whole")  # one block, no thread
@@ -518,11 +549,14 @@ def test_train_bytes_do_not_depend_on_block_size_or_thread(tmp_path, monkeypatch
     monkeypatch.setattr(resample, "_read_rows", recording_read_rows)
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
     threads = threading.active_count()
-    assert trained(cube, mask, tmp_path / "threaded") == whole
-    assert threading.active_count() == threads
     per_block = block_pixels // COLS
     full, ragged = divmod(ROWS, per_block)
-    assert blocks == [per_block] * full + ([ragged] if ragged else [])
+    for chunk in CHUNKS:
+        monkeypatch.setattr(mlp, "_CHUNK_PIXELS", chunk)
+        blocks.clear()
+        assert trained(cube, mask, tmp_path / f"threaded-{chunk}") == whole
+        assert threading.active_count() == threads
+        assert blocks == [per_block] * full + ([ragged] if ragged else [])
     monkeypatch.setattr(resample, "ThreadPoolExecutor", InlineExecutor)
     assert trained(cube, mask, tmp_path / "serial") == whole
 
@@ -568,8 +602,86 @@ def test_train_holds_less_than_the_cube_widened_to_float64(tmp_path):
     payload_bytes = rows * cols * len(CANONICAL_ORDER) * 4
     # Reading the whole f32 cube and widening every pixel holds 3x the payload
     # before a pixel is dropped (216 MB traced here, before the labels chose
-    # the pixels). Reading only the kept pixels measured 2.15x (112 MB), set
-    # inside mlp.train: the balanced set with its split and normalized copies
-    # (64 MB held) and the trainer's temporaries. The permutation that
-    # balances the 900k majority pixels is a 7 MB int64 array, freed before.
-    assert peak < 2.3 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
+    # the pixels). Reading only the kept pixels, with the balanced set, its
+    # split and its normalized split all held (64 MB), measured 2.15x. Each
+    # set is now dropped once the next exists, so one float64 copy of the
+    # 200k samples is held (21 MB): 1.35x (70 MB), set inside mlp.train by
+    # its (n, 10) temporaries beside the normalized sets. The permutation
+    # that balances the 900k majority pixels is a 7 MB int64 array, freed
+    # before.
+    assert peak < 1.45 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
+
+
+# ---------------------------------------------------------------------------
+# eval
+
+
+def write_pgm16(path, values):
+    """A 16-bit PGM of `values`, with trailing bytes after the payload."""
+    rows, cols = values.shape
+    path.write_bytes(f"P5\n{cols} {rows}\n65535\n".encode()
+                     + np.asarray(values, dtype=">u2").tobytes() + b"trailing")
+
+
+def test_eval_counts_both_masks_per_row_block(tmp_path, monkeypatch):
+    """eval reads each mask's payload one row block at a time, both masks in
+    step, an 8-bit and a 16-bit one alike, and writes the metrics of the
+    whole masks whatever the block size."""
+    rng = np.random.default_rng(2)
+    pred, truth = rng.random((2, ROWS, COLS)) < 0.4
+    write_mask(pred, tmp_path / "pred.pgm")
+    # 16-bit values other than 0 and 65535: any value > 0 is plastic
+    write_pgm16(tmp_path / "truth.pgm", truth * rng.integers(1, 1 << 16, (ROWS, COLS)))
+    whole = evaluation.metrics(evaluation.confusion(pred, truth))
+    read = []
+    pgm_rows = raster_io._pgm_rows
+
+    def recording_pgm_rows(f, n_rows, cols, dtype):
+        read.append(n_rows)
+        return pgm_rows(f, n_rows, cols, dtype)
+
+    monkeypatch.setattr(raster_io, "_pgm_rows", recording_pgm_rows)
+    outputs = set()
+    for block_pixels in (1, COLS, 5 * COLS, ROWS * COLS):
+        monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
+        read.clear()
+        out = tmp_path / f"eval-{block_pixels}.json"
+        assert main(["eval", "--pred", str(tmp_path / "pred.pgm"),
+                     "--truth", str(tmp_path / "truth.pgm"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == whole
+        outputs.add(out.read_bytes())
+        per_block = max(1, block_pixels // COLS)
+        full, ragged = divmod(ROWS, per_block)
+        sizes = [per_block] * full + ([ragged] if ragged else [])
+        assert read == [n for n in sizes for _ in ("pred", "truth")]  # both masks in step
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("pred, truth, error", [
+    (b"P5\n2 8\n255\n" + bytes(16), b"P5\n4 4\n255\n" + bytes(16),
+     "size mismatch: predicted 8x2, truth 4x4"),
+    (b"P5\n4 4\n255\n" + bytes(16), b"P5\n4 4\n255\n" + bytes(15),
+     "truncated PGM payload: 15 < 16"),
+    (b"P5\n4 4\n1023\n" + bytes(32), b"P5\n4 4\n255\n" + bytes(16),
+     "PGM maxval 1023 not supported (255 or 65535)"),
+    (b"P5\n4 4\n255\n" + bytes(16), b"P2\n4 4\n255\n" + bytes(16),
+     "unsupported PGM variant 'P2' (binary P5 required)"),
+    (b"P5\n4 # four\n-4\n255\n" + bytes(16), b"P5\n4 4\n255\n" + bytes(16),
+     "bad PGM header: expected a positive integer, got b'-4'"),
+])
+def test_eval_refuses_bad_masks_before_reading_a_payload(tmp_path, monkeypatch, capsys,
+                                                          pred, truth, error):
+    """Both headers are read, and checked against each other, before any
+    pixel is read; the messages are those of a whole-mask read."""
+    (tmp_path / "pred.pgm").write_bytes(pred)
+    (tmp_path / "truth.pgm").write_bytes(truth)
+
+    def no_payload(*args):
+        raise AssertionError("a payload was read")
+
+    monkeypatch.setattr(raster_io, "_pgm_rows", no_payload)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--pred", str(tmp_path / "pred.pgm"),
+                 "--truth", str(tmp_path / "truth.pgm"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"litterscan eval: {error}\n"
+    assert not out.exists()

@@ -1,14 +1,18 @@
-"""Run one litterscan subcommand in a fresh process and print its wall time
-and peak resident memory as one JSON object, {"wall_s", "peak_rss_mb"}.
+"""Run one litterscan subcommand in a fresh process and print its wall time,
+peak resident memory and minor page faults as one JSON object,
+{"wall_s", "peak_rss_mb", "minflt"}.
 
     python3 tools/step_peak.py index --cube c.json --method fdi --out f.f32
 
 The subcommand runs as `python3 -m litterscan.cli ARGS` with this checkout's
 `src/` first on PYTHONPATH. wall_s is measured around the process, so it
 includes interpreter start and imports; peak_rss_mb is the child's ru_maxrss
-from wait4, in MiB. The subcommand's exit code is passed on, and nothing is
-printed to stdout when it fails. For numbers comparable with the BENCH_*.json
-files, set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1.
+from wait4, in MiB, and minflt its ru_minflt from the same call: the pages
+it faulted in without reading from disk, which counts memory the allocator
+gave back to the kernel and then touched again. The subcommand's exit code
+is passed on, and nothing is printed to stdout when it fails. For numbers
+comparable with the BENCH_*.json files, set OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def step_peak(argv: list[str]) -> tuple[int, dict]:
-    """Exit code and {"wall_s", "peak_rss_mb"} of `litterscan ARGV`."""
+    """Exit code and {"wall_s", "peak_rss_mb", "minflt"} of `litterscan ARGV`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
@@ -33,7 +37,8 @@ def step_peak(argv: list[str]) -> tuple[int, dict]:
     wall_s = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
     return child.returncode, {"wall_s": round(wall_s, 3),
-                              "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1)}
+                              "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+                              "minflt": usage.ru_minflt}
 
 
 def main(argv: list[str] | None = None) -> int:
