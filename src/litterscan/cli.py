@@ -146,20 +146,16 @@ def _cmd_train(args) -> None:
     dataset.check_grid(header, labels)  # before balance: a wrong mask fails as a mismatch
     log.info("dataset: %s", dataset.dataset_report(labels))
 
-    balanced = dataset.extract_samples(header, labels, dataset.balance(labels, args.seed))
-    balanced_report = dataset.dataset_report(balanced.labels)
+    pixels = dataset.balance(labels, args.seed)
+    balanced_report = dataset.dataset_report(labels.flat[pixels])
     spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.test_frac, args.seed)
-    # one float64 copy of the samples is held at a time: each set is dropped
-    # as soon as the sets made from it exist
-    train_raw, val_raw, test_raw = dataset.split(balanced, spec)
-    del balanced
-    norm = dataset.fit_normalizer(train_raw)
-    train_set = dataset.normalize_set(norm, train_raw)
-    del train_raw
-    val_set = dataset.normalize_set(norm, val_raw)
-    del val_raw
-    test_set = dataset.normalize_set(norm, test_raw)
-    del test_raw
+    train_set, val_set, test_set = dataset.extract_samples(
+        header, labels, *dataset.split(pixels, spec))
+    del pixels  # not held while the network trains
+    norm = dataset.fit_normalizer(train_set)
+    # rebound, so the raw sets' one array is freed once the normalized sets exist
+    train_set, val_set, test_set = (dataset.normalize_set(norm, s)
+                                    for s in (train_set, val_set, test_set))
 
     cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
     model = mlp.init_model(args.seed, norm, header.band_ids)

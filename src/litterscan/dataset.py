@@ -45,10 +45,6 @@ class SampleSet:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def take(self, indices) -> "SampleSet":
-        idx = np.asarray(indices, dtype=np.int64)
-        return SampleSet(self.features[idx], self.labels[idx])
-
 
 @dataclass(frozen=True)
 class Normalizer:
@@ -116,41 +112,46 @@ def balance(labels: np.ndarray, seed: int) -> np.ndarray:
     return np.sort(np.concatenate([minority, majority[perm[:minority.size]]]))
 
 
-def extract_samples(header: CubeHeader, labels: np.ndarray, pixels: np.ndarray) -> SampleSet:
-    """One sample per pixel of `pixels`, flat indices into the cube's grid,
-    in row-major order: its 13 band values, widened to float64, and its
-    label in `labels`, a mask on that grid. The cube is read in row blocks
-    (`resample.map_cube_rows`), so every value of every band is checked,
-    and only the chosen pixels of a block are kept."""
+def split(pixels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The train, validation and test pixels of `pixels`: a seeded shuffle, then
+    a contiguous partition of sizes floor(n*train), floor(n*val), the remainder."""
+    n = len(pixels)
+    if n == 0:
+        raise ValueError("cannot split an empty sample set")
+    shuffled = np.asarray(pixels)[SplitMix64(spec.seed).permutation(n)]
+    n_train = int(n * spec.train_frac)
+    n_val = int(n * spec.val_frac)
+    return shuffled[:n_train], shuffled[n_train:n_train + n_val], shuffled[n_train + n_val:]
+
+
+def extract_samples(header: CubeHeader, labels: np.ndarray,
+                    *pixel_sets: np.ndarray) -> tuple[SampleSet, ...]:
+    """One SampleSet per array of `pixel_sets`, flat indices into the cube's
+    grid: row i of a set is the i-th pixel of its array, its 13 band values
+    widened to float64 and its label in `labels`, a mask on that grid. The
+    sets are slices of one array that one pass over the cube's row blocks
+    fills (`resample.map_cube_rows`, every value of every band checked),
+    each pixel straight from its block into its row. A pixel index outside
+    the grid or given twice raises ValueError before the cube is read."""
     check_grid(header, labels)
-    keep = np.zeros(labels.shape, dtype=bool)
-    keep.flat[pixels] = True
-    features = np.empty((np.count_nonzero(keep), N_FEATURES))
-    n = r0 = 0
+    pixels = np.concatenate(pixel_sets)
+    rows = np.argsort(pixels)  # the row of each pixel, in grid order
+    in_grid_order = pixels[rows]
+    if len(pixels) and not 0 <= in_grid_order[0] <= in_grid_order[-1] < labels.size:
+        raise ValueError(f"a pixel index is outside the {header.rows}x{header.cols} grid")
+    if (in_grid_order[1:] == in_grid_order[:-1]).any():
+        raise ValueError("a pixel index is given twice")
+    features = np.empty((len(pixels), N_FEATURES))
+    lo = start = 0
     # closed on any error, so the stream's helper thread stops here
     with contextlib.closing(map_cube_rows(header, lambda band_ids, block: block)) as blocks:
         for block in blocks:
-            chosen = block[keep[r0:r0 + len(block)]]
-            features[n:n + len(chosen)] = chosen
-            n += len(chosen)
-            r0 += len(block)
-    return SampleSet(features, labels[keep])
-
-
-def split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSet, SampleSet]:
-    """Seeded shuffle then contiguous partition; sizes floor(n*train),
-    floor(n*val), remainder to test."""
-    n = len(samples)
-    if n == 0:
-        raise ValueError("cannot split an empty sample set")
-    perm = SplitMix64(spec.seed).permutation(n)
-    n_train = int(n * spec.train_frac)
-    n_val = int(n * spec.val_frac)
-    return (
-        samples.take(perm[:n_train]),
-        samples.take(perm[n_train:n_train + n_val]),
-        samples.take(perm[n_train + n_val:]),
-    )
+            end = start + block.shape[0] * block.shape[1]
+            hi = np.searchsorted(in_grid_order, end)
+            features[rows[lo:hi]] = block.reshape(-1, N_FEATURES)[in_grid_order[lo:hi] - start]
+            lo, start = hi, end
+    ends = np.cumsum([len(p) for p in pixel_sets])[:-1]
+    return tuple(map(SampleSet, np.split(features, ends), np.split(labels.flat[pixels], ends)))
 
 
 def fit_normalizer(train: SampleSet) -> Normalizer:

@@ -172,15 +172,6 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _scores(model.w_hidden, model.w_output, np.asarray(x, dtype=np.float64))
 
 
-def forward(model: MlpModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (N_FEATURES,):
-        raise ValueError(f"input must have {N_FEATURES} components")
-    if not np.isfinite(x).all():
-        raise ValueError("input must be finite")
-    return float(forward_batch(model, x[None, :])[0])
-
-
 def _objective(flat: np.ndarray, samples: SampleSet):
     """MSE of the weights `flat` against 0/1 targets, and a function giving its
     exact gradient, in flat layout order, by backprop through the same pass."""

@@ -61,25 +61,35 @@ def _naming(path: str, call: Callable, *args):
 def commit() -> Iterator[None]:
     """Stage every file written in the block as a temp file beside its
     output, and rename them all into place when the block ends without
-    error: on any error none is renamed and no temp file is left. A commit
-    entered inside another joins it. In a commit, writing a file already
-    read or written (symlinks resolved) raises ValueError before its temp
-    file opens, and so does reading a file already staged; writing over a
-    directory raises IsADirectoryError there too."""
+    error. On any error, a failed rename included, no output is changed and
+    no temp file is left: a file that an output replaces is set aside before
+    the rename and moved back. A commit entered inside another joins it. In
+    a commit, writing a file already read or written (symlinks resolved)
+    raises ValueError before its temp file opens, and so does reading a file
+    already staged; writing over a directory raises IsADirectoryError there too."""
     global _reads
     if _reads is not None:
         yield
         return
-    _reads, renamed = set(), 0
+    _reads, renamed, asides = set(), 0, []
     try:
         yield
         for path, tmp in _staged.values():
+            aside = tmp + "~" if os.path.lexists(path) else None
+            if aside:
+                _naming(path, os.replace, path, aside)
+            asides.append(aside)
             _naming(path, os.replace, tmp, path)
             renamed += 1
     except BaseException:
         for i, (path, tmp) in enumerate(_staged.values()):
             os.unlink(path if i < renamed else tmp)
+            if i < len(asides) and asides[i]:
+                os.replace(asides[i], path)
         raise
+    else:
+        for aside in filter(None, asides):
+            os.unlink(aside)
     finally:
         _reads = None
         _staged.clear()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cube
-from litterscan import raster_io
+from litterscan import raster_io, resample
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import (
     Normalizer,
@@ -52,7 +52,7 @@ def write_full_cube(path, rows, cols, seed=0):
 def test_extract_samples_basic(tmp_path):
     cube, header = write_full_cube(tmp_path / "c.json", 2, 2)
     mask = np.array([[True, False], [False, True]])
-    s = extract_samples(header, mask, np.arange(4))
+    (s,) = extract_samples(header, mask, np.arange(4))
     assert len(s) == 4
     assert list(s.labels) == [1, 0, 0, 1]
     assert np.array_equal(s.features[1], cube[0, 1])
@@ -63,9 +63,39 @@ def test_extract_samples_keeps_the_chosen_pixels_in_row_major_order(tmp_path, mo
     cube, header = write_full_cube(tmp_path / "c.json", 9, 7, seed=3)
     mask = np.random.default_rng(3).random((9, 7)) < 0.3
     pixels = np.array([0, 5, 13, 14, 30, 62])  # in 4 of the 5 blocks; the last pixel
-    s = extract_samples(header, mask, pixels)
+    (s,) = extract_samples(header, mask, pixels)
     assert np.array_equal(s.features, cube.reshape(-1, 13)[pixels])
     assert np.array_equal(s.labels, mask.reshape(-1)[pixels])
+
+
+def test_extract_samples_fills_each_set_in_its_own_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 3 * 7)  # 3 blocks of 3 rows, then 1
+    cube, header = write_full_cube(tmp_path / "c.json", 10, 7, seed=5)
+    mask = np.random.default_rng(5).random((10, 7)) < 0.4
+    shuffled = np.random.default_rng(6).permutation(70)
+    sets = (shuffled[:30], shuffled[30:38], shuffled[38:69])  # pixel shuffled[69] left out
+    got = extract_samples(header, mask, *sets)
+    assert len(got) == 3
+    for s, pixels in zip(got, sets):
+        assert np.array_equal(s.features, cube.reshape(-1, 13)[pixels])
+        assert np.array_equal(s.labels, mask.reshape(-1)[pixels])
+
+
+@pytest.mark.parametrize("sets, message", [
+    ((np.array([3, 0]), np.array([5, 3])), "a pixel index is given twice"),
+    ((np.array([0, 1]), np.array([-1])), "a pixel index is outside the 2x3 grid"),
+    ((np.array([6, 0]),), "a pixel index is outside the 2x3 grid"),
+])
+def test_extract_samples_refuses_a_repeated_or_outside_pixel_before_reading(
+        tmp_path, monkeypatch, sets, message):
+    _, header = write_full_cube(tmp_path / "c.json", 2, 3)
+
+    def no_read(*args):
+        raise AssertionError("the cube payload was read")
+
+    monkeypatch.setattr(resample, "_read_rows", no_read)
+    with pytest.raises(ValueError, match=message):
+        extract_samples(header, np.zeros((2, 3), dtype=bool), *sets)
 
 
 def test_extract_samples_dimension_mismatch(tmp_path):
@@ -128,20 +158,18 @@ def test_balance_requires_both_classes():
 
 
 def test_split_sizes_100():
-    tr, va, te = split(sample_set([0, 1] * 50), SplitSpec(0.70, 0.15, 0.15, seed=0))
+    tr, va, te = split(np.arange(100), SplitSpec(0.70, 0.15, 0.15, seed=0))
     assert (len(tr), len(va), len(te)) == (70, 15, 15)
 
 
 def test_split_sizes_10_floor_rule():
-    tr, va, te = split(sample_set([0, 1] * 5), SplitSpec(0.70, 0.15, 0.15, seed=0))
+    tr, va, te = split(np.arange(10), SplitSpec(0.70, 0.15, 0.15, seed=0))
     assert (len(tr), len(va), len(te)) == (7, 1, 2)
 
 
 def test_split_partition_property():
-    s = sample_set([0, 1] * 40)
-    tr, va, te = split(s, SplitSpec(seed=9))
-    ids = np.concatenate([tr.features[:, 0], va.features[:, 0], te.features[:, 0]])
-    assert sorted(ids) == list(range(80))
+    tr, va, te = split(np.arange(80), SplitSpec(seed=9))
+    assert sorted(np.concatenate([tr, va, te])) == list(range(80))
 
 
 def test_split_spec_validation():
@@ -210,9 +238,8 @@ def test_balance_matches_reference_fixture(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_split_matches_reference_fixture(seed):
     ref = _reference()
-    s = sample_set(ref["labels"])
-    tr, va, te = split(s, SplitSpec(0.70, 0.15, 0.15, seed=seed))
+    tr, va, te = split(np.arange(len(ref["labels"])), SplitSpec(0.70, 0.15, 0.15, seed=seed))
     expect = ref["split"][str(seed)]
-    assert list(tr.features[:, 0].astype(int)) == expect["train"]
-    assert list(va.features[:, 0].astype(int)) == expect["val"]
-    assert list(te.features[:, 0].astype(int)) == expect["test"]
+    assert list(tr) == expect["train"]
+    assert list(va) == expect["val"]
+    assert list(te) == expect["test"]

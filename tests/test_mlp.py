@@ -15,7 +15,6 @@ from litterscan.mlp import (
     MlpModel,
     TrainConfig,
     flatten_weights,
-    forward,
     forward_batch,
     gradient,
     init_model,
@@ -67,7 +66,7 @@ def test_init_deterministic_and_bounded():
 
 def test_forward_zero_weights_is_half():
     m = with_weights(pinned_model(), np.zeros(151))
-    assert forward(m, np.linspace(-1, 1, 13)) == 0.5
+    assert forward_batch(m, np.linspace(-1, 1, 13)[None])[0] == 0.5
 
 
 def test_forward_bounds_random_trials():
@@ -86,7 +85,7 @@ PINNED_FORWARD = 0.45016600268752209  # straight-line evaluation, 40-digit arith
 
 def test_forward_pinned_vector():
     x = np.array([(k - 6) / 6 for k in range(13)])
-    assert forward(pinned_model(), x) == pytest.approx(PINNED_FORWARD, rel=1e-14)
+    assert forward_batch(pinned_model(), x[None])[0] == pytest.approx(PINNED_FORWARD, rel=1e-14)
 
 
 def split_by_sign_logistic(z):
@@ -310,7 +309,7 @@ def test_model_round_trip(tmp_path):
     assert back.band_order == m.band_order
     x = np.linspace(100, 4000, 13)
     xn = 2 * (x - back.normalizer.minimum) / (back.normalizer.maximum - back.normalizer.minimum) - 1
-    assert forward(back, xn) == forward(m, xn)
+    assert forward_batch(back, xn[None])[0] == forward_batch(m, xn[None])[0]
 
 
 def test_load_model_wrong_weight_count(tmp_path):
@@ -337,7 +336,7 @@ def test_load_minimal_handwritten_model(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     m = load_model(path)
-    assert forward(m, np.zeros(13)) == 0.5
+    assert forward_batch(m, np.zeros(13)[None])[0] == 0.5
 
 
 def test_train_rejects_empty_sets():

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -314,6 +315,38 @@ def test_commit_renames_its_files_only_when_it_ends_without_error(tmp_path):
         write_mask(np.eye(3), tmp_path / "n.pgm")
         raise RuntimeError
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "m.pgm"]
+
+
+@pytest.mark.parametrize("culprit", ["a.json", "b.json", "c.json"])
+def test_a_failed_rename_keeps_what_an_earlier_run_left(tmp_path, monkeypatch, culprit):
+    """a.json and b.json hold an earlier run's bytes and c.json is new. When
+    one output's rename fails, the outputs renamed before it are undone:
+    every file keeps its bytes, c.json does not appear and no temp file is
+    left. A commit that succeeds replaces them all and leaves nothing beside."""
+    (tmp_path / "a.json").write_bytes(b"earlier a")
+    (tmp_path / "b.json").write_bytes(b"earlier b")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replace, failed = os.replace, []
+
+    def failing_replace(src, dst):  # fails the first rename onto the culprit
+        if os.path.basename(dst) == culprit and not failed:
+            failed.append(dst)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(src, dst)
+
+    def write_all():
+        with raster_io.commit():
+            for name in ("a.json", "b.json", "c.json"):
+                raster_io.write_json(tmp_path / name, {"name": name})
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match=culprit):
+        write_all()
+    assert failed
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    write_all()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "c.json"]
+    assert json.loads((tmp_path / "a.json").read_bytes()) == {"name": "a.json"}
 
 
 def test_write_json_rejects_nan(tmp_path):

@@ -1,7 +1,8 @@
 """Source hygiene of the package: every name a module imports is used there,
 only raster_io writes, renames or removes a file, a payload is read in
-bulk in two places only, one function starts threads, and only rng draws
-one value at a time."""
+bulk in two places only, one function starts threads, only rng draws one
+value at a time, and public API that src/ never refers to is kept only for
+a stated reason."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,50 @@ PER_DRAW_METHODS = {"next_u64", "next_float", "next_below", "uniform", "normal",
 def test_only_rng_draws_one_value_at_a_time():
     files = {path for path, _ in package_uses(PER_DRAW_METHODS)}
     assert files == {"rng.py"}, files
+
+
+# Public API that no code in src/ refers to stays only for a stated reason:
+# perfbench/tracing.py times it (its LAYERS), it is one of rng's per-draw
+# oracle methods above, or it is listed here with its reason.
+KEPT_UNREFERENCED = {
+    "raster_io.read_float_raster": "the float raster reader, fuzzed as a parser",
+}
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+
+
+def traced_functions() -> set[str]:
+    """The "layer.function" of each function that perfbench/tracing.py's
+    LAYERS names, read from its source."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    return {f"{layer}.{name}" for layer, names in layers.items() for name in names}
+
+
+def public_api():
+    """("module.name" or "module.Class.method", name) of each public
+    top-level function and each public method of a public top-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                yield f"{path.stem}.{top.name}", top.name
+            elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{top.name}.{item.name}", item.name
+
+
+def test_every_public_function_is_referenced_or_kept_for_a_reason():
+    """A name counts as referenced when it is used anywhere in src/, as a
+    name or as an attribute of anything. Attributes are matched by name
+    alone, so the API this finds unreferenced is a lower bound: a
+    `SampleSet.take` would have passed as long as some code called
+    `ndarray.take`."""
+    used = {getattr(node, "attr", getattr(node, "id", None))
+            for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))}
+    kept = traced_functions() | set(KEPT_UNREFERENCED) | {
+        f"rng.SplitMix64.{name}" for name in PER_DRAW_METHODS}
+    dead = [qual for qual, name in public_api() if name not in used and qual not in kept]
+    assert not dead, f"public API that src/ never refers to: {dead}"

@@ -602,13 +602,14 @@ def test_train_holds_less_than_the_cube_widened_to_float64(tmp_path):
     payload_bytes = rows * cols * len(CANONICAL_ORDER) * 4
     # Reading the whole f32 cube and widening every pixel holds 3x the payload
     # before a pixel is dropped (216 MB traced here, before the labels chose
-    # the pixels). Reading only the kept pixels, with the balanced set, its
-    # split and its normalized split all held (64 MB), measured 2.15x. Each
-    # set is now dropped once the next exists, so one float64 copy of the
-    # 200k samples is held (21 MB): 1.35x (70 MB), set inside mlp.train by
-    # its (n, 10) temporaries beside the normalized sets. The permutation
-    # that balances the 900k majority pixels is a 7 MB int64 array, freed
-    # before.
+    # the pixels). Gathering a balanced set, then copying it into its split
+    # and the split into its normalized sets, all held (64 MB), measured
+    # 2.15x. The cube pass now writes each kept pixel straight into its row
+    # of the train, validation or test set: one float64 array of the 200k
+    # samples (21 MB), dropped once the normalized sets exist. The peak,
+    # 1.35x (70 MB), is set inside mlp.train by its (n, 10) temporaries
+    # beside the normalized sets. The permutation that balances the 900k
+    # majority pixels is a 7 MB int64 array, freed before the cube is read.
     assert peak < 1.45 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
 
 
