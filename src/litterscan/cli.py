@@ -16,6 +16,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import dataset, evaluation, indexes, mlp, raster_io, resample, synthetic
 from .bands import CANONICAL_ORDER, canonical_spec
 
@@ -78,7 +80,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--val-failures", type=int, default=mlp.TrainConfig.max_val_failures)
     sp.add_argument("--train-frac", type=float, default=dataset.SplitSpec.train_frac)
     sp.add_argument("--val-frac", type=float, default=dataset.SplitSpec.val_frac)
-    sp.add_argument("--test-frac", type=float, default=dataset.SplitSpec.test_frac)
 
     sp = sub.add_parser("predict", help="apply a model to a cube")
     sp.add_argument("--model", required=True)
@@ -141,35 +142,32 @@ def _cmd_index(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.seed)  # before any read
     header = resample.read_cube_header(args.cube)
     labels = raster_io.read_mask(args.mask)
     dataset.check_grid(header, labels)  # before balance: a wrong mask fails as a mismatch
     log.info("dataset: %s", dataset.dataset_report(labels))
 
-    pixels = dataset.balance(labels, args.seed)
-    balanced_report = dataset.dataset_report(labels.flat[pixels])
-    spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.test_frac, args.seed)
-    train_set, val_set, test_set = dataset.extract_samples(
-        header, labels, *dataset.split(pixels, spec))
+    pixels, ends = dataset.split(dataset.balance(labels, args.seed), spec)
+    x, y = dataset.extract_samples(header, labels, pixels)
     del pixels  # not held while the network trains
-    norm = dataset.fit_normalizer(train_set)
-    # rebound, so the raw sets' one array is freed once the normalized sets exist
-    train_set, val_set, test_set = (dataset.normalize_set(norm, s)
-                                    for s in (train_set, val_set, test_set))
+    norm = dataset.fit_normalizer(x[:ends[0]])
+    dataset.normalize_set(norm, x)
+    train_set, val_set, (test_x, test_y) = zip(np.split(x, ends), np.split(y, ends))
 
     cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
     model = mlp.init_model(args.seed, norm, header.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
-    test_pred = mlp.forward_batch(model, test_set.features) >= mlp.SCORE_THRESHOLD
-    cm = evaluation.confusion(test_pred, test_set.labels)
+    test_pred = mlp.forward_batch(model, test_x) >= mlp.SCORE_THRESHOLD
+    cm = evaluation.confusion(test_pred, test_y)
     test_metrics = evaluation.metrics(cm)
     log.info("test error rate: %.3f%%", 100.0 * test_metrics["error_rate"])
 
     mlp.save_model(model, args.out)
     raster_io.write_json(args.report or args.out + ".report.json", {
-        "dataset": balanced_report,
-        "split": {"train": len(train_set), "val": len(val_set), "test": len(test_set)},
+        "dataset": dataset.dataset_report(y),
+        "split": {"train": len(train_set[1]), "val": len(val_set[1]), "test": len(test_y)},
         "training": dataclasses.asdict(report),
         "test": test_metrics,
     })

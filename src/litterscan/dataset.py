@@ -22,31 +22,6 @@ MIN_SAMPLES_PER_WEIGHT = 15
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    features: np.ndarray  # (n, 13) float64
-    labels: np.ndarray    # (n,) uint8 of {0, 1}
-
-    def __post_init__(self):
-        f = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        lb = np.asarray(self.labels)
-        if f.ndim != 2 or f.shape[1] != N_FEATURES:
-            raise ValueError(f"features must be (n, {N_FEATURES})")
-        if lb.shape != (f.shape[0],):
-            raise ValueError("labels length must match features")
-        check_labels(lb)
-        lb = np.ascontiguousarray(lb, dtype=np.uint8)
-        if not np.isfinite(f).all():
-            raise ValueError("features must be finite")
-        f.setflags(write=False)
-        lb.setflags(write=False)
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels", lb)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
 class Normalizer:
     """Per-band min/max from the training split; maps values to [-1, 1]."""
 
@@ -72,17 +47,18 @@ class Normalizer:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """The train and validation shares of a split; the test set is the rest."""
+
     train_frac: float = 0.70
     val_frac: float = 0.15
-    test_frac: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
-        for f in (self.train_frac, self.val_frac, self.test_frac):
+        for f in (self.train_frac, self.val_frac):
             if not 0.0 < f < 1.0:
                 raise ValueError("split fractions must be in (0, 1)")
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+        if not self.train_frac + self.val_frac < 1.0:
+            raise ValueError("train and validation fractions must sum to less than 1")
 
 
 def check_grid(header: CubeHeader, labels: np.ndarray) -> None:
@@ -112,29 +88,28 @@ def balance(labels: np.ndarray, seed: int) -> np.ndarray:
     return np.sort(np.concatenate([minority, majority[perm[:minority.size]]]))
 
 
-def split(pixels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The train, validation and test pixels of `pixels`: a seeded shuffle, then
-    a contiguous partition of sizes floor(n*train), floor(n*val), the remainder."""
+def split(pixels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, tuple[int, int]]:
+    """A seeded shuffle of `pixels` and the ends of its train and validation
+    parts, for `np.split`: a contiguous partition of sizes floor(n*train),
+    floor(n*val) and the remainder, the test part."""
     n = len(pixels)
     if n == 0:
         raise ValueError("cannot split an empty sample set")
     shuffled = np.asarray(pixels)[SplitMix64(spec.seed).permutation(n)]
     n_train = int(n * spec.train_frac)
-    n_val = int(n * spec.val_frac)
-    return shuffled[:n_train], shuffled[n_train:n_train + n_val], shuffled[n_train + n_val:]
+    return shuffled, (n_train, n_train + int(n * spec.val_frac))
 
 
 def extract_samples(header: CubeHeader, labels: np.ndarray,
-                    *pixel_sets: np.ndarray) -> tuple[SampleSet, ...]:
-    """One SampleSet per array of `pixel_sets`, flat indices into the cube's
-    grid: row i of a set is the i-th pixel of its array, its 13 band values
-    widened to float64 and its label in `labels`, a mask on that grid. The
-    sets are slices of one array that one pass over the cube's row blocks
-    fills (`resample.map_cube_rows`, every value of every band checked),
-    each pixel straight from its block into its row. A pixel index outside
-    the grid or given twice raises ValueError before the cube is read."""
+                    pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 13) float64 band values and the (n,) labels of `pixels`, flat
+    indices into the cube's grid: row i is the i-th pixel, its values widened
+    from f32 and its label in `labels`, a mask on that grid. One pass over
+    the cube's row blocks (`resample.map_cube_rows`, every value of every
+    band checked) writes each pixel straight from its block into its row. A
+    pixel index outside the grid or given twice raises ValueError before the
+    cube is read."""
     check_grid(header, labels)
-    pixels = np.concatenate(pixel_sets)
     rows = np.argsort(pixels)  # the row of each pixel, in grid order
     in_grid_order = pixels[rows]
     if len(pixels) and not 0 <= in_grid_order[0] <= in_grid_order[-1] < labels.size:
@@ -150,25 +125,31 @@ def extract_samples(header: CubeHeader, labels: np.ndarray,
             hi = np.searchsorted(in_grid_order, end)
             features[rows[lo:hi]] = block.reshape(-1, N_FEATURES)[in_grid_order[lo:hi] - start]
             lo, start = hi, end
-    ends = np.cumsum([len(p) for p in pixel_sets])[:-1]
-    return tuple(map(SampleSet, np.split(features, ends), np.split(labels.flat[pixels], ends)))
+    return features, labels.flat[pixels]
 
 
-def fit_normalizer(train: SampleSet) -> Normalizer:
-    if len(train) == 0:
+def fit_normalizer(features: np.ndarray) -> Normalizer:
+    """The per-band min/max of the (n, 13) training rows `features`."""
+    if len(features) == 0:
         raise ValueError("cannot fit a normalizer on an empty set")
-    return Normalizer(train.features.min(axis=0), train.features.max(axis=0))
+    return Normalizer(features.min(axis=0), features.max(axis=0))
+
+
+def normalize_set(norm: Normalizer, features: np.ndarray) -> None:
+    """Map the float64 `features` in place to 2*(x - min)/(max - min) - 1 per
+    band, with no clamping: values outside the training range land outside
+    [-1, 1]."""
+    features -= norm.minimum
+    features *= 2.0
+    features /= norm.maximum - norm.minimum
+    features -= 1.0
 
 
 def apply_normalizer(norm: Normalizer, v: np.ndarray) -> np.ndarray:
-    """2*(x - min)/(max - min) - 1 per component; no clamping, so values
-    outside the training range land outside [-1, 1]."""
-    v = np.asarray(v, dtype=np.float64)
-    return 2.0 * (v - norm.minimum) / (norm.maximum - norm.minimum) - 1.0
-
-
-def normalize_set(norm: Normalizer, samples: SampleSet) -> SampleSet:
-    return SampleSet(apply_normalizer(norm, samples.features), samples.labels)
+    """A float64 copy of `v` through `normalize_set`."""
+    v = np.array(v, dtype=np.float64)
+    normalize_set(norm, v)
+    return v
 
 
 def dataset_report(labels: np.ndarray) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_FEATURES, Normalizer, SampleSet
+from .dataset import N_FEATURES, Normalizer
 from .raster_io import read_json_object, write_json
 from .rng import SplitMix64
 
@@ -172,15 +172,15 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _scores(model.w_hidden, model.w_output, np.asarray(x, dtype=np.float64))
 
 
-def _objective(flat: np.ndarray, samples: SampleSet):
-    """MSE of the weights `flat` against 0/1 targets, and a function giving its
-    exact gradient, in flat layout order, by backprop through the same pass."""
-    if len(samples) == 0:
+def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
+    """MSE of the weights `flat` on the (n, 13) normalized features `x`
+    against their 0/1 `labels`, and a function giving its exact gradient, in
+    flat layout order, by backprop through the same pass."""
+    if len(x) == 0:
         raise ValueError("cannot evaluate the network on an empty sample set")
     wh, wo = _layers(flat)
-    x = samples.features
     h, y = _forward(wh, wo, x)
-    e = y - samples.labels.astype(np.float64)
+    e = y - labels.astype(np.float64)
 
     def grad() -> np.ndarray:
         dz_out = (2.0 / x.shape[0]) * e * y * (1.0 - y)        # dL/dz_out, (n,)
@@ -192,22 +192,25 @@ def _objective(flat: np.ndarray, samples: SampleSet):
     return float(np.mean(e * e)), grad
 
 
-def loss(model: MlpModel, samples: SampleSet) -> float:
+def loss(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared error against 0/1 targets."""
-    return _objective(flatten_weights(model), samples)[0]
+    return _objective(flatten_weights(model), x, labels)[0]
 
 
-def gradient(model: MlpModel, samples: SampleSet) -> np.ndarray:
+def gradient(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Exact MSE gradient via backprop, in flat layout order."""
-    return _objective(flatten_weights(model), samples)[1]()
+    return _objective(flatten_weights(model), x, labels)[1]()
 
 
 # ---------------------------------------------------------------------------
 # training
 
-def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
+def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
+          val_set: tuple[np.ndarray, np.ndarray],
           cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainReport]:
-    """Polak-Ribiere+ conjugate gradient on the 151-d weight vector.
+    """Polak-Ribiere+ conjugate gradient on the 151-d weight vector, fitted to
+    `train_set` and validated on `val_set`, each an (x, labels) pair of
+    (n, 13) normalized features and their (n,) 0/1 labels.
 
     Direction restarts to steepest descent every CG_RESTART_EVERY
     iterations or whenever the CG direction fails the descent test; step
@@ -215,15 +218,15 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
     increases across accepted steps. The model with the best validation
     loss seen after any accepted step is the one returned.
     """
-    if len(train_set) == 0 or len(val_set) == 0:
+    if len(train_set[0]) == 0 or len(val_set[0]) == 0:
         raise ValueError("train and validation sets must be nonempty")
 
     w = flatten_weights(model)
-    f_w, grad = _objective(w, train_set)
+    f_w, grad = _objective(w, *train_set)
     g = grad()
     d = -g
 
-    best_w, best_train, best_val = w, f_w, loss(model, val_set)
+    best_w, best_train, best_val = w, f_w, loss(model, *val_set)
     history: list[tuple[int, float, float]] = [(0, f_w, best_val)]
     failures = 0
     stop_reason = "max_iters"
@@ -245,7 +248,7 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
         alpha = ARMIJO_INITIAL_STEP
         for _ in range(60):
             w_new = w + alpha * d
-            f_new, grad = _objective(w_new, train_set)
+            f_new, grad = _objective(w_new, *train_set)
             if math.isfinite(f_new) and f_new <= f_w + ARMIJO_C * alpha * slope:
                 break
             alpha *= ARMIJO_SHRINK
@@ -261,7 +264,7 @@ def train(model: MlpModel, train_set: SampleSet, val_set: SampleSet,
         d = -g_new + beta * d
         w, g, f_w = w_new, g_new, f_new
 
-        v = loss(with_weights(model, w), val_set)
+        v = loss(with_weights(model, w), *val_set)
         history.append((k, f_w, v))
         if v < best_val:
             best_w, best_train, best_val = w, f_w, v

@@ -12,7 +12,6 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main as cli_main
 from litterscan.dataset import (
     Normalizer,
-    SampleSet,
     SplitSpec,
     balance,
     dataset_report,
@@ -67,14 +66,14 @@ def test_criterion_02_gradient_correctness():
         n = 1 + rng.next_below(32)
         feats = np.array([[rng.uniform(-1.5, 1.5) for _ in range(13)] for _ in range(n)])
         labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-        s = SampleSet(feats, labels)
-        g = gradient(m, s)
+        g = gradient(m, feats, labels)
         w = flatten_weights(m)
         gfd = np.empty_like(g)
         for i in range(w.size):
             wp = w.copy(); wp[i] += h
             wm = w.copy(); wm[i] -= h
-            gfd[i] = (loss(with_weights(m, wp), s) - loss(with_weights(m, wm), s)) / (2 * h)
+            gfd[i] = (loss(with_weights(m, wp), feats, labels)
+                      - loss(with_weights(m, wm), feats, labels)) / (2 * h)
         rel = np.abs(g - gfd) / (np.abs(g) + np.abs(gfd) + 1e-10)
         worst = max(worst, float(rel.max()))
     assert worst < 1e-5
@@ -134,7 +133,7 @@ def test_criterion_04_end_to_end_synthetic_analog(tmp_path):
 def test_criterion_05_xor_capability():
     feats = np.zeros((4, 13))
     feats[:, :2] = [[-1, -1], [-1, 1], [1, -1], [1, 1]]
-    s = SampleSet(feats, np.array([0, 1, 1, 0], dtype=np.uint8))
+    s = feats, np.array([0, 1, 1, 0], dtype=np.uint8)
     wins = 0
     for seed in range(10):
         m = init_model(seed, UNIT_NORM, CANONICAL_ORDER)
@@ -204,7 +203,7 @@ def test_criterion_08_determinism(tmp_path):
     labels = np.asarray(ref["labels"], dtype=np.uint8)
     for seed in (0, 1):
         assert list(balance(labels, seed=seed)) == ref["balance"][str(seed)]
-        tr, va, te = split(np.arange(labels.size), SplitSpec(0.70, 0.15, 0.15, seed=seed))
+        tr, va, te = np.split(*split(np.arange(labels.size), SplitSpec(0.70, 0.15, seed=seed)))
         got = {"train": list(tr), "val": list(va), "test": list(te)}
         assert got == ref["split"][str(seed)]
     report(8, "repeat training runs byte-identical; split/balance match "

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_band
 from litterscan.bands import CANONICAL_ORDER
+from litterscan import dataset
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
@@ -138,6 +139,27 @@ def test_train_reruns_are_byte_identical(tmp_path, scene):
                    "--out", str(model), "--seed", "7", "--max-iters", "100") == 0
         blobs.append(model.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("train_frac, val_frac, message", [
+    ("0.5", "0.5", "train and validation fractions must sum to less than 1"),
+    ("0.9", "0.2", "train and validation fractions must sum to less than 1"),
+    ("0", "0.15", "split fractions must be in (0, 1)"),
+    ("0.7", "nan", "split fractions must be in (0, 1)"),
+])
+def test_train_refuses_a_bad_split_before_extracting_samples(tmp_path, scene, monkeypatch,
+                                                             capsys, train_frac, val_frac,
+                                                             message):
+    def no_extract(*args):
+        raise AssertionError("samples were extracted for a bad split")
+
+    monkeypatch.setattr(dataset, "extract_samples", no_extract)
+    cube_path, mask_path = scene
+    model = tmp_path / "model.json"
+    assert run("train", "--cube", str(cube_path), "--mask", str(mask_path),
+               "--out", str(model), "--train-frac", train_frac, "--val-frac", val_frac) == 1
+    assert capsys.readouterr().err == f"litterscan train: {message}\n"
+    assert not model.exists()
 
 
 def test_import_and_resample(tmp_path):

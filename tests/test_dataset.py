@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from litterscan import raster_io, resample
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import (
     Normalizer,
-    SampleSet,
     SplitSpec,
     apply_normalizer,
     balance,
@@ -34,12 +34,11 @@ def full_cube(rows, cols, seed=0):
     })[1]
 
 
-def sample_set(labels, seed=0):
-    labels = np.asarray(labels, dtype=np.uint8)
+def features(n, seed=0):
     rng = np.random.default_rng(seed)
-    feats = rng.uniform(0, 4095, size=(labels.size, 13))
-    feats[:, 0] = np.arange(labels.size)  # identify samples by first feature
-    return SampleSet(feats, labels)
+    feats = rng.uniform(0, 4095, size=(n, 13))
+    feats[:, 0] = np.arange(n)  # identify samples by first feature
+    return feats
 
 
 def write_full_cube(path, rows, cols, seed=0):
@@ -52,10 +51,10 @@ def write_full_cube(path, rows, cols, seed=0):
 def test_extract_samples_basic(tmp_path):
     cube, header = write_full_cube(tmp_path / "c.json", 2, 2)
     mask = np.array([[True, False], [False, True]])
-    (s,) = extract_samples(header, mask, np.arange(4))
-    assert len(s) == 4
-    assert list(s.labels) == [1, 0, 0, 1]
-    assert np.array_equal(s.features[1], cube[0, 1])
+    x, y = extract_samples(header, mask, np.arange(4))
+    assert x.shape == (4, 13)
+    assert list(y) == [1, 0, 0, 1]
+    assert np.array_equal(x[1], cube[0, 1])
 
 
 def test_extract_samples_keeps_the_chosen_pixels_in_row_major_order(tmp_path, monkeypatch):
@@ -63,22 +62,21 @@ def test_extract_samples_keeps_the_chosen_pixels_in_row_major_order(tmp_path, mo
     cube, header = write_full_cube(tmp_path / "c.json", 9, 7, seed=3)
     mask = np.random.default_rng(3).random((9, 7)) < 0.3
     pixels = np.array([0, 5, 13, 14, 30, 62])  # in 4 of the 5 blocks; the last pixel
-    (s,) = extract_samples(header, mask, pixels)
-    assert np.array_equal(s.features, cube.reshape(-1, 13)[pixels])
-    assert np.array_equal(s.labels, mask.reshape(-1)[pixels])
+    x, y = extract_samples(header, mask, pixels)
+    assert np.array_equal(x, cube.reshape(-1, 13)[pixels])
+    assert np.array_equal(y, mask.reshape(-1)[pixels])
 
 
 def test_extract_samples_fills_each_set_in_its_own_order(tmp_path, monkeypatch):
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 3 * 7)  # 3 blocks of 3 rows, then 1
     cube, header = write_full_cube(tmp_path / "c.json", 10, 7, seed=5)
     mask = np.random.default_rng(5).random((10, 7)) < 0.4
-    shuffled = np.random.default_rng(6).permutation(70)
-    sets = (shuffled[:30], shuffled[30:38], shuffled[38:69])  # pixel shuffled[69] left out
-    got = extract_samples(header, mask, *sets)
-    assert len(got) == 3
-    for s, pixels in zip(got, sets):
-        assert np.array_equal(s.features, cube.reshape(-1, 13)[pixels])
-        assert np.array_equal(s.labels, mask.reshape(-1)[pixels])
+    shuffled = np.random.default_rng(6).permutation(70)[:69]  # pixel 69 of the shuffle left out
+    ends = (30, 38)
+    x, y = extract_samples(header, mask, shuffled)
+    for xs, ys, pixels in zip(np.split(x, ends), np.split(y, ends), np.split(shuffled, ends)):
+        assert np.array_equal(xs, cube.reshape(-1, 13)[pixels])
+        assert np.array_equal(ys, mask.reshape(-1)[pixels])
 
 
 @pytest.mark.parametrize("sets, message", [
@@ -95,7 +93,7 @@ def test_extract_samples_refuses_a_repeated_or_outside_pixel_before_reading(
 
     monkeypatch.setattr(resample, "_read_rows", no_read)
     with pytest.raises(ValueError, match=message):
-        extract_samples(header, np.zeros((2, 3), dtype=bool), *sets)
+        extract_samples(header, np.zeros((2, 3), dtype=bool), np.concatenate(sets))
 
 
 def test_extract_samples_dimension_mismatch(tmp_path):
@@ -158,45 +156,38 @@ def test_balance_requires_both_classes():
 
 
 def test_split_sizes_100():
-    tr, va, te = split(np.arange(100), SplitSpec(0.70, 0.15, 0.15, seed=0))
+    tr, va, te = np.split(*split(np.arange(100), SplitSpec(0.70, 0.15, seed=0)))
     assert (len(tr), len(va), len(te)) == (70, 15, 15)
 
 
 def test_split_sizes_10_floor_rule():
-    tr, va, te = split(np.arange(10), SplitSpec(0.70, 0.15, 0.15, seed=0))
+    tr, va, te = np.split(*split(np.arange(10), SplitSpec(0.70, 0.15, seed=0)))
     assert (len(tr), len(va), len(te)) == (7, 1, 2)
 
 
 def test_split_partition_property():
-    tr, va, te = split(np.arange(80), SplitSpec(seed=9))
-    assert sorted(np.concatenate([tr, va, te])) == list(range(80))
+    shuffled, _ = split(np.arange(80), SplitSpec(seed=9))
+    assert sorted(shuffled) == list(range(80))
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        SplitSpec(0.7, 0.2, 0.2, seed=0)
+    with pytest.raises(ValueError, match="sum to less than 1"):
+        SplitSpec(0.7, 0.3, seed=0)
     with pytest.raises(ValueError):
-        SplitSpec(0.0, 0.5, 0.5, seed=0)
-
-
-@pytest.mark.parametrize("labels", [[256, 1, 0], [1.7, 0.2, 0.0]])
-def test_sample_set_rejects_labels_before_casting_them(labels):
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        SampleSet(np.zeros((3, 13)), np.array(labels))
+        SplitSpec(0.0, 0.5, seed=0)
 
 
 def test_fit_normalizer():
     feats = np.zeros((2, 13))
     feats[1] = 4095.0
-    norm = fit_normalizer(SampleSet(feats, np.array([0, 1])))
+    norm = fit_normalizer(feats)
     assert np.array_equal(norm.minimum, np.zeros(13))
     assert np.array_equal(norm.maximum, np.full(13, 4095.0))
 
 
 def test_fit_normalizer_rejects_constant_band():
-    feats = np.ones((3, 13))
     with pytest.raises(ValueError, match="min >= max"):
-        fit_normalizer(SampleSet(feats, np.array([0, 1, 0])))
+        fit_normalizer(np.ones((3, 13)))
 
 
 def test_apply_normalizer_endpoints():
@@ -207,11 +198,31 @@ def test_apply_normalizer_endpoints():
 
 
 def test_normalizer_train_outputs_in_range():
-    s = sample_set([0, 1] * 20, seed=4)
-    norm = fit_normalizer(s)
-    out = normalize_set(norm, s)
-    assert out.features.min() >= -1.0
-    assert out.features.max() <= 1.0
+    x = features(40, seed=4)
+    normalize_set(fit_normalizer(x), x)
+    assert x.min() >= -1.0
+    assert x.max() <= 1.0
+
+
+def test_normalize_set_works_in_place():
+    """About 200 k rows of f32-exact values, some outside the training range:
+    the rows are normalized where they lie, with no copy, to the bytes of the
+    written-out formula and of `apply_normalizer`."""
+    x = np.random.default_rng(8).uniform(0, 4095, size=(200_000, 13))
+    x = x.astype(np.float32).astype(np.float64)
+    norm = fit_normalizer(x[:140_000])
+    x[-2], x[-1] = -100.0, 5000.0  # beyond every band's training range
+    formula = 2.0 * (x - norm.minimum) / (norm.maximum - norm.minimum) - 1.0
+    copied = apply_normalizer(norm, x)
+    tracemalloc.start()
+    try:
+        normalize_set(norm, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 100
+    assert x.tobytes() == formula.tobytes() == copied.tobytes()
+    assert (x[-2] < -1.0).all() and (x[-1] > 1.0).all()
 
 
 def test_apply_normalizer_strictly_monotone():
@@ -238,7 +249,8 @@ def test_balance_matches_reference_fixture(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_split_matches_reference_fixture(seed):
     ref = _reference()
-    tr, va, te = split(np.arange(len(ref["labels"])), SplitSpec(0.70, 0.15, 0.15, seed=seed))
+    shuffled, ends = split(np.arange(len(ref["labels"])), SplitSpec(0.70, 0.15, seed=seed))
+    tr, va, te = np.split(shuffled, ends)
     expect = ref["split"][str(seed)]
     assert list(tr) == expect["train"]
     assert list(va) == expect["val"]

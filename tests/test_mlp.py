@@ -5,7 +5,7 @@ import pytest
 
 from litterscan import mlp
 from litterscan.bands import CANONICAL_ORDER
-from litterscan.dataset import Normalizer, SampleSet, apply_normalizer
+from litterscan.dataset import Normalizer, apply_normalizer
 from litterscan.indexes import threshold_map
 from litterscan.mlp import (
     _ALMOST_ONE,
@@ -40,13 +40,13 @@ def random_set(n, seed):
     rng = SplitMix64(seed)
     feats = np.array([[rng.uniform(-1.5, 1.5) for _ in range(13)] for _ in range(n)])
     labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-    return SampleSet(feats, labels)
+    return feats, labels
 
 
 def xor_set():
     feats = np.zeros((4, 13))
     feats[:, :2] = [[-1, -1], [-1, 1], [1, -1], [1, 1]]
-    return SampleSet(feats, np.array([0, 1, 1, 0], dtype=np.uint8))
+    return feats, np.array([0, 1, 1, 0], dtype=np.uint8)
 
 
 def test_parameter_count_is_151():
@@ -107,16 +107,15 @@ def test_logistic_matches_split_by_sign_formulation():
 
 
 def test_loss_examples():
-    s = random_set(16, 3)
+    x, labels = random_set(16, 3)
     m = with_weights(pinned_model(), np.zeros(151))
     # zero weights -> every output 0.5; balanced labels give MSE 0.25
-    balanced = SampleSet(s.features, np.array([0, 1] * 8, dtype=np.uint8))
-    assert loss(m, balanced) == pytest.approx(0.25)
+    assert loss(m, x, np.array([0, 1] * 8, dtype=np.uint8)) == pytest.approx(0.25)
     # independent two-line oracle
     mp = pinned_model()
-    y = forward_batch(mp, s.features)
-    expect = float(np.mean((y - s.labels) ** 2))
-    assert loss(mp, s) == pytest.approx(expect, rel=1e-15)
+    y = forward_batch(mp, x)
+    expect = float(np.mean((y - labels) ** 2))
+    assert loss(mp, x, labels) == pytest.approx(expect, rel=1e-15)
 
 
 def finite_difference_gradient(model, samples, h=1e-5):
@@ -125,8 +124,8 @@ def finite_difference_gradient(model, samples, h=1e-5):
     for i in range(w.size):
         wp = w.copy(); wp[i] += h
         wm = w.copy(); wm[i] -= h
-        g[i] = (loss(with_weights(model, wp), samples)
-                - loss(with_weights(model, wm), samples)) / (2 * h)
+        g[i] = (loss(with_weights(model, wp), *samples)
+                - loss(with_weights(model, wm), *samples)) / (2 * h)
     return g
 
 
@@ -136,7 +135,7 @@ def test_gradient_matches_finite_differences():
         rng = SplitMix64(trial)
         m = init_model(trial, UNIT_NORM, CANONICAL_ORDER)
         s = random_set(1 + rng.next_below(32), trial + 100)
-        g = gradient(m, s)
+        g = gradient(m, *s)
         gfd = finite_difference_gradient(m, s)
         rel = np.abs(g - gfd) / (np.abs(g) + np.abs(gfd) + 1e-10)
         worst = max(worst, float(rel.max()))
@@ -145,18 +144,16 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_duplication_invariant():
     m = init_model(2, UNIT_NORM, CANONICAL_ORDER)
-    s = random_set(8, 11)
-    doubled = SampleSet(np.vstack([s.features, s.features]),
-                        np.concatenate([s.labels, s.labels]))
-    assert np.allclose(gradient(m, s), gradient(m, doubled), rtol=0, atol=1e-15)
+    x, labels = random_set(8, 11)
+    doubled = np.vstack([x, x]), np.concatenate([labels, labels])
+    assert np.allclose(gradient(m, x, labels), gradient(m, *doubled), rtol=0, atol=1e-15)
 
 
 def test_gradient_zero_at_stationary_point():
     # all-zero weights with balanced labels: outputs 0.5, hidden activity 0
     m = with_weights(pinned_model(), np.zeros(151))
-    s = random_set(10, 5)
-    balanced = SampleSet(s.features, np.array([0, 1] * 5, dtype=np.uint8))
-    assert np.linalg.norm(gradient(m, balanced)) < 1e-12
+    x, _ = random_set(10, 5)
+    assert np.linalg.norm(gradient(m, x, np.array([0, 1] * 5, dtype=np.uint8))) < 1e-12
 
 
 def test_gradient_small_at_fitted_minimum():
@@ -164,7 +161,7 @@ def test_gradient_small_at_fitted_minimum():
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
     cfg = TrainConfig(max_iters=3000, max_val_failures=10**9)
     fitted, report = train(m, s, s, cfg)
-    assert np.linalg.norm(gradient(fitted, s)) < 1e-3
+    assert np.linalg.norm(gradient(fitted, *s)) < 1e-3
     assert report.final_train_loss < 0.01
 
 
@@ -230,7 +227,7 @@ def test_early_stop_returns_best_validation_model():
     out, report = train(m, s, v, TrainConfig(max_iters=500, max_val_failures=3))
     val_losses = [h[2] for h in report.loss_history]
     assert report.final_val_loss <= min(val_losses) + 1e-15
-    assert report.final_val_loss == pytest.approx(loss(out, v), rel=1e-12)
+    assert report.final_val_loss == pytest.approx(loss(out, *v), rel=1e-12)
     if report.stop_reason == "val_early_stop":
         assert report.iterations_run < 500
 
@@ -251,13 +248,13 @@ def test_train_separable_problem():
     feats = np.vstack([x0, x1])
     labels = np.array([0] * n + [1] * n, dtype=np.uint8)
     perm = np.random.default_rng(1).permutation(2 * n)
-    s = SampleSet(feats[perm[:1400]], labels[perm[:1400]])
-    v = SampleSet(feats[perm[1400:1700]], labels[perm[1400:1700]])
-    t = SampleSet(feats[perm[1700:]], labels[perm[1700:]])
+    s = feats[perm[:1400]], labels[perm[:1400]]
+    v = feats[perm[1400:1700]], labels[perm[1400:1700]]
+    t = perm[1700:]
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
     out, _ = train(m, s, v, TrainConfig(max_iters=200))
-    pred = (forward_batch(out, t.features) >= 0.5).astype(int)
-    assert (pred != t.labels).mean() < 0.02
+    pred = (forward_batch(out, feats[t]) >= 0.5).astype(int)
+    assert (pred != labels[t]).mean() < 0.02
 
 
 # --- inference + serialization ---
@@ -342,4 +339,4 @@ def test_load_minimal_handwritten_model(tmp_path):
 def test_train_rejects_empty_sets():
     m = pinned_model()
     with pytest.raises(ValueError):
-        loss(m, SampleSet(np.zeros((0, 13)), np.zeros(0, dtype=np.uint8)))
+        loss(m, np.zeros((0, 13)), np.zeros(0, dtype=np.uint8))

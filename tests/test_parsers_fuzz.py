@@ -274,8 +274,8 @@ FLAG_DRAWS = {
     "train": (["--cube", "c.json", "--mask", "m.pgm", "--out", "out/model.json",
                "--max-iters", "2"],
               {"--seed": FLAG_VALUES, "--max-iters": at_most(3), "--val-failures": FLAG_VALUES,
-               "--train-frac": FLAG_VALUES, "--val-frac": FLAG_VALUES,
-               "--test-frac": FLAG_VALUES}, ["model.json", "model.json.report.json"]),
+               "--train-frac": FLAG_VALUES, "--val-frac": FLAG_VALUES},
+              ["model.json", "model.json.report.json"]),
     "predict": (["--model", "model.json", "--cube", "c.json", "--out", "out/p.pgm"],
                 {"--threshold": FLAG_VALUES}, ["p.pgm"]),
     "index": (["--cube", "c.json", "--method", "fdi", "--out", "out/i.f32", "--threshold", "0",

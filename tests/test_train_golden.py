@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from litterscan.bands import CANONICAL_ORDER
-from litterscan.dataset import Normalizer, SampleSet
+from litterscan.dataset import Normalizer
 from litterscan.mlp import TrainConfig, flatten_weights, init_model, train
 from litterscan.rng import SplitMix64
 
@@ -32,14 +32,14 @@ CASES = {
 N_TRAIN, N_VAL, SIGMA = 200, 50, 30.0
 
 
-def wide_sets() -> tuple[SampleSet, SampleSet]:
-    """N_TRAIN + N_VAL SplitMix64 samples: N(0, SIGMA^2) features, coin-flip labels."""
+def wide_sets():
+    """(features, labels) of N_TRAIN and of N_VAL SplitMix64 samples: N(0, SIGMA^2)
+    features, coin-flip labels."""
     rng = SplitMix64(0)
     n = N_TRAIN + N_VAL
     feats = np.array([[SIGMA * rng.normal() for _ in range(13)] for _ in range(n)])
     labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-    return (SampleSet(feats[:N_TRAIN], labels[:N_TRAIN]),
-            SampleSet(feats[N_TRAIN:], labels[N_TRAIN:]))
+    return (feats[:N_TRAIN], labels[:N_TRAIN]), (feats[N_TRAIN:], labels[N_TRAIN:])
 
 
 def train_digests(cfg: TrainConfig) -> dict:
