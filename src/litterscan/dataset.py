@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import CANONICAL_ORDER
-from .raster_io import check_labels
+from .raster_io import check_labels, row_ranges
 from .resample import CubeHeader, map_cube_rows
 from .rng import SplitMix64
 
@@ -91,13 +91,17 @@ def balance(labels: np.ndarray, seed: int) -> np.ndarray:
 def split(pixels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, tuple[int, int]]:
     """A seeded shuffle of `pixels` and the ends of its train and validation
     parts, for `np.split`: a contiguous partition of sizes floor(n*train),
-    floor(n*val) and the remainder, the test part."""
+    floor(n*val) and the remainder, the test part. A train or validation
+    part of no pixel raises ValueError."""
     n = len(pixels)
     if n == 0:
         raise ValueError("cannot split an empty sample set")
+    n_train, n_val = int(n * spec.train_frac), int(n * spec.val_frac)
+    if n_train == 0 or n_val == 0:
+        raise ValueError(f"train and validation sets must be nonempty: {n} samples "
+                         f"split into {n_train} and {n_val}")
     shuffled = np.asarray(pixels)[SplitMix64(spec.seed).permutation(n)]
-    n_train = int(n * spec.train_frac)
-    return shuffled, (n_train, n_train + int(n * spec.val_frac))
+    return shuffled, (n_train, n_train + n_val)
 
 
 def extract_samples(header: CubeHeader, labels: np.ndarray,
@@ -106,9 +110,9 @@ def extract_samples(header: CubeHeader, labels: np.ndarray,
     indices into the cube's grid: row i is the i-th pixel, its values widened
     from f32 and its label in `labels`, a mask on that grid. One pass over
     the cube's row blocks (`resample.map_cube_rows`, every value of every
-    band checked) writes each pixel straight from its block into its row. A
-    pixel index outside the grid or given twice raises ValueError before the
-    cube is read."""
+    band checked) gathers each block's pixels in the thread that maps it and
+    writes them straight into their rows. A pixel index outside the grid or
+    given twice raises ValueError before the cube is read."""
     check_grid(header, labels)
     rows = np.argsort(pixels)  # the row of each pixel, in grid order
     in_grid_order = pixels[rows]
@@ -116,15 +120,25 @@ def extract_samples(header: CubeHeader, labels: np.ndarray,
         raise ValueError(f"a pixel index is outside the {header.rows}x{header.cols} grid")
     if (in_grid_order[1:] == in_grid_order[:-1]).any():
         raise ValueError("a pixel index is given twice")
+
+    def offsets():
+        """Each block's kept pixels, in grid order, as offsets into the block."""
+        lo = 0
+        for r0, r1 in row_ranges(header.rows, header.cols):
+            hi = np.searchsorted(in_grid_order, r1 * header.cols)
+            yield in_grid_order[lo:hi] - r0 * header.cols
+            lo = hi
+
+    def gather(band_ids, block, at):
+        return block.reshape(-1, N_FEATURES)[at]
+
     features = np.empty((len(pixels), N_FEATURES))
-    lo = start = 0
+    lo = 0
     # closed on any error, so the stream's helper thread stops here
-    with contextlib.closing(map_cube_rows(header, lambda band_ids, block: block)) as blocks:
-        for block in blocks:
-            end = start + block.shape[0] * block.shape[1]
-            hi = np.searchsorted(in_grid_order, end)
-            features[rows[lo:hi]] = block.reshape(-1, N_FEATURES)[in_grid_order[lo:hi] - start]
-            lo, start = hi, end
+    with contextlib.closing(map_cube_rows(header, gather, offsets())) as blocks:
+        for values in blocks:
+            features[rows[lo:lo + len(values)]] = values
+            lo += len(values)
     return features, labels.flat[pixels]
 
 

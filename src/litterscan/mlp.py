@@ -175,7 +175,8 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
     """MSE of the weights `flat` on the (n, 13) normalized features `x`
     against their 0/1 `labels`, and a function giving its exact gradient, in
-    flat layout order, by backprop through the same pass."""
+    flat layout order, by backprop through the same pass. The gradient
+    overwrites the pass's hidden activations, so it may be called only once."""
     if len(x) == 0:
         raise ValueError("cannot evaluate the network on an empty sample set")
     wh, wo = _layers(flat)
@@ -185,7 +186,10 @@ def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
     def grad() -> np.ndarray:
         dz_out = (2.0 / x.shape[0]) * e * y * (1.0 - y)        # dL/dz_out, (n,)
         g_wo = np.concatenate([dz_out @ h, [dz_out.sum()]])    # (11,)
-        dz_h = np.outer(dz_out, wo[:N_HIDDEN]) * (1.0 - h * h)  # (n, 10)
+        dz_h = np.multiply(dz_out[:, None], wo[:N_HIDDEN])     # (n, 10)
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)                              # 1 - h*h, in place
+        dz_h *= h
         g_wh = np.concatenate([dz_h.T @ x, dz_h.sum(axis=0)[:, None]], axis=1)  # (10, 14)
         return np.concatenate([g_wh.reshape(-1), g_wo])
 

@@ -6,6 +6,8 @@ the payload, is float32. Both streams run through `_in_order`, the one place
 that starts a thread: from a second block on, one helper thread computes
 alternate blocks beside the calling thread, and numpy releases the
 interpreter lock for the block arithmetic, so the two threads use two cores.
+A cube block is read by the thread that maps it, with a positional read
+into one of at most two buffers that the stream reuses.
 
 Conventions (these make constant images constant and keep the grids
 concentric):
@@ -19,7 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,11 +176,23 @@ def read_cube_header(manifest_path: str | os.PathLike) -> CubeHeader:
     return CubeHeader(rows, cols, tuple(ids), payload)
 
 
-def _read_rows(f: BinaryIO, header: CubeHeader, n_rows: int) -> np.ndarray:
-    """The next `n_rows` rows of the open payload `f`, as read: f32, (n_rows, cols, n_bands)."""
+def _read_rows(fd: int, header: CubeHeader, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
+    """Rows r0:r1 of the cube whose payload is open as `fd`, read at their
+    offset (no file position is shared) into the start of the flat f32
+    buffer `buf`: the (r1 - r0, cols, n_bands) view of it that holds them.
+    A payload that ends before them raises ValueError."""
     n_bands = len(header.band_ids)
-    data = np.fromfile(f, dtype="<f4", count=n_rows * header.cols * n_bands)
-    return data.reshape(n_rows, header.cols, n_bands)
+    block = buf[:(r1 - r0) * header.cols * n_bands]
+    raw = block.view(np.uint8)
+    offset = r0 * header.cols * n_bands * 4
+    done = 0
+    while done < raw.size:  # a read may stop short of the bytes asked for
+        n = os.preadv(fd, [raw[done:]], offset + done)
+        if n == 0:
+            raise ValueError(f"cube: payload ends at byte {offset + done}, expected "
+                             f"{header.rows * header.cols * n_bands * 4}")
+        done += n
+    return block.reshape(r1 - r0, header.cols, n_bands)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -192,8 +206,9 @@ def _finite(values: np.ndarray) -> np.ndarray:
 def load_cube(manifest_path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
     """The band ids and the (rows, cols, n_bands) float32 values of a cube."""
     header = read_cube_header(manifest_path)
+    buf = np.empty(header.rows * header.cols * len(header.band_ids), dtype="<f4")
     with open(header.payload, "rb") as f:
-        return header.band_ids, _finite(_read_rows(f, header, header.rows))
+        return header.band_ids, _finite(_read_rows(f.fileno(), header, 0, header.rows, buf))
 
 
 _END = object()  # the end of an item stream: no item is this object
@@ -239,17 +254,44 @@ def _in_order(fn: Callable, items: Iterable) -> Iterator:
         helper.shutdown(cancel_futures=True)
 
 
-def map_cube_rows(header: CubeHeader,
-                  fn: Callable[[tuple[str, ...], np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """fn(band ids, block) for each row block of the cube
+def map_cube_rows(header: CubeHeader, fn: Callable[..., np.ndarray],
+                  *per_block: Iterable) -> Iterator[np.ndarray]:
+    """fn(band ids, block, *args) for each row block of the cube
     (`raster_io.row_ranges`), yielded in order: fn maps an (n, cols, n_bands)
-    float32 block, as read and checked by `_finite`, to its result for those
-    n rows (a map block, or the block itself).
-    This thread reads every block. From a second block on, alternate blocks
-    are checked and mapped by one helper thread while this thread does the
-    others, so at most two blocks of the cube are in memory at a time; a
-    one-block cube starts no thread."""
+    float32 block, as read and checked by `_finite`, to its array result for
+    those n rows. `args` are the block's items of `per_block`, iterables with
+    one item per block, such as the pixels a caller wants from each.
+    From a second block on, one helper thread reads, checks and maps
+    alternate blocks while this thread does the others, so at most two
+    blocks are mapped at once; a one-block cube starts no thread. Each block
+    is read into one of the stream's two buffers (one for a one-block cube),
+    taken from its pool and put back once fn returns, and the pool is
+    dropped with the stream. A result must therefore not share memory with
+    its block: one that does raises ValueError."""
+    ranges = list(row_ranges(header.rows, header.cols))
+    size = (ranges[0][1] - ranges[0][0]) * header.cols * len(header.band_ids)  # the longest
+    # A block-size array made and freed at once: glibc then raises its mmap
+    # threshold above a block, so the buffers and fn's per-block temporaries
+    # come from the heap and are reused, not mapped, faulted in and unmapped
+    # again for every block (`index fdi` at 2000²: 7.9 k minor faults, not 26 k).
+    np.empty(size, dtype="<f4")
+    # The free buffers, made in this thread so that they do not come from the
+    # helper thread's malloc arena, which keeps them resident once freed. At
+    # most two blocks are mapped at once, so a block always finds one;
+    # list.pop and list.append are atomic.
+    pool = [np.empty(size, dtype="<f4") for _ in ranges[:2]]
+
+    def mapped(item):
+        (r0, r1), *args = item
+        buf = pool.pop()
+        try:
+            result = fn(header.band_ids, _finite(_read_rows(fd, header, r0, r1, buf)), *args)
+            if np.may_share_memory(result, buf):
+                raise ValueError("a cube block's result must not share memory with the block")
+            return result
+        finally:
+            pool.append(buf)
+
     with open(header.payload, "rb") as f:
-        yield from _in_order(lambda rows: fn(header.band_ids, _finite(rows)),
-                             (_read_rows(f, header, r1 - r0)
-                              for r0, r1 in row_ranges(header.rows, header.cols)))
+        fd = f.fileno()
+        yield from _in_order(mapped, zip(ranges, *per_block, strict=True))

@@ -146,6 +146,8 @@ def test_train_reruns_are_byte_identical(tmp_path, scene):
     ("0.9", "0.2", "train and validation fractions must sum to less than 1"),
     ("0", "0.15", "split fractions must be in (0, 1)"),
     ("0.7", "nan", "split fractions must be in (0, 1)"),
+    ("0.7", "0.001", "train and validation sets must be nonempty: 480 samples split into "
+                     "336 and 0"),
 ])
 def test_train_refuses_a_bad_split_before_extracting_samples(tmp_path, scene, monkeypatch,
                                                              capsys, train_frac, val_frac,

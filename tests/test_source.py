@@ -70,10 +70,11 @@ def test_only_raster_io_changes_files(path):
 
 
 # The two bulk payload readers: `raster_io.read_payload` (band payloads and
-# float rasters) and `resample._read_rows` (the cube's row blocks, under
-# `load_cube` and `map_cube_rows`). A third would be a cube read that skips
-# the block stream and its check of every value.
-FROMFILE_READERS = {("raster_io.py", "read_payload"), ("resample.py", "_read_rows")}
+# float rasters, with `np.fromfile`) and `resample._read_rows` (the cube's
+# row blocks, under `load_cube` and `map_cube_rows`, with `os.preadv`). A
+# third would be a cube read that skips the block stream and its check of
+# every value.
+PAYLOAD_READERS = {("raster_io.py", "read_payload"), ("resample.py", "_read_rows")}
 
 
 def top_level_uses(path: Path, names: set[str]):
@@ -92,9 +93,9 @@ def package_uses(names: set[str]):
     return [use for path in sorted(PACKAGE.glob("*.py")) for use in top_level_uses(path, names)]
 
 
-def test_only_the_two_payload_readers_call_fromfile():
-    uses = package_uses({"fromfile"})
-    assert sorted(uses) == sorted(FROMFILE_READERS), uses
+def test_only_the_two_payload_readers_read_payload_bytes():
+    uses = package_uses({"fromfile", "preadv"})
+    assert sorted(uses) == sorted(PAYLOAD_READERS), uses
 
 
 # The one threading design: `resample._in_order` computes alternate items of

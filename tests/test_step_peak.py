@@ -1,7 +1,8 @@
 """tools/step_peak.py runs one subcommand in a fresh process and reports its
-wall time, peak RSS and minor page faults; a failing subcommand's exit code is passed on."""
+wall time, CPU time, peak RSS and minor page faults; a failing subcommand's exit code is passed on."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +25,10 @@ def test_step_peak_reports_one_fresh_process(tmp_path):
                   "--out", str(tmp_path / "fdi.f32"), "--threshold", "0")
     assert p.returncode == 0, p.stderr
     result = json.loads(p.stdout)
-    assert sorted(result) == ["minflt", "peak_rss_mb", "wall_s"]
+    assert sorted(result) == ["cpu_s", "minflt", "peak_rss_mb", "wall_s"]
     assert result["wall_s"] > 0 and result["peak_rss_mb"] > 1
+    # the interpreter's start alone takes CPU time, and no more cores exist
+    assert 0 < result["cpu_s"] <= os.cpu_count() * result["wall_s"]
     # the interpreter alone faults in more than a thousand pages
     assert type(result["minflt"]) is int and result["minflt"] > 1000
     assert (tmp_path / "fdi.f32").stat().st_size == 20 * 20 * 4

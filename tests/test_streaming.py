@@ -17,10 +17,14 @@ depend on the block size and it holds the stack plus a few blocks;
 `resample._in_order`: from a second block on, one helper thread computes
 alternate blocks, the bytes are those of a serial run, a failure in either
 thread leaves no file and no thread, a result is dropped once yielded, and
-a one-block stream starts no thread."""
+a one-block stream starts no thread. A cube block is read by the thread that
+maps it, into one of two buffers the stream reuses, so a result that shares
+a block's memory is refused, and a payload cut short after its header check
+fails with one line."""
 
 import inspect
 import json
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -99,12 +103,11 @@ def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixe
     blocks, chunks = [], []
     read_rows, forward = resample._read_rows, mlp._forward
 
-    def recording_read_rows(f, header, n_rows):
-        """Record each block's size, in read order: the payload is read by
-        the calling thread only, whichever thread computes the block."""
-        assert threading.current_thread() is threading.main_thread()
-        blocks.append(n_rows)
-        return read_rows(f, header, n_rows)
+    def recording_read_rows(fd, header, r0, r1, buf):
+        """Record each block's rows; the thread that maps a block reads it,
+        so blocks are recorded in the order their reads start."""
+        blocks.append((r0, r1))
+        return read_rows(fd, header, r0, r1, buf)
 
     def recording_forward(wh, wo, x):
         chunks.append(len(x))
@@ -116,12 +119,13 @@ def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixe
     per_block = max(1, block_pixels // COLS)
     full, ragged = divmod(ROWS, per_block)
     per_command = [per_block] * full + ([ragged] if ragged else [])
+    ranges = [(r0, r0 + n) for r0, n in zip(range(0, ROWS, per_block), per_command)]
     for chunk in CHUNKS:
         monkeypatch.setattr(mlp, "_CHUNK_PIXELS", chunk)
         blocks.clear()
         chunks.clear()
         assert artifacts(cube, model, tmp_path / f"chunk-{chunk}") == whole
-        assert blocks == per_command * len(commands(cube, model, tmp_path))
+        assert sorted(blocks) == sorted(ranges * len(commands(cube, model, tmp_path)))
         # each block's pixels in chunks of `chunk`, the last one ragged
         want = [n for rows in per_command
                 for n in [chunk] * (rows * COLS // chunk) + [rows * COLS % chunk] if n]
@@ -144,15 +148,21 @@ def test_nonfinite_value_in_last_row_leaves_no_output(tmp_path, monkeypatch, cap
 
 def test_blocks_reach_fn_as_the_float32_rows_read(tmp_path, monkeypatch):
     """`map_cube_rows` hands fn the header's band ids and each block as read
-    from the payload: float32, not a widened copy."""
+    from the payload: float32, not a widened copy. A result may not share
+    the block's memory, so fn returns a copy of it."""
     cube = write_cube(tmp_path, ROWS, COLS)
     payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4").reshape(ROWS, COLS, -1)
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 5 * COLS)  # 5 blocks, two threads
     header = resample.read_cube_header(cube)
-    got = list(resample.map_cube_rows(header, lambda band_ids, block: (band_ids, block)))
-    assert [band_ids for band_ids, _ in got] == [CANONICAL_ORDER] * 5
-    assert all(block.dtype == np.float32 for _, block in got)
-    assert np.array_equal(np.concatenate([block for _, block in got]), payload)
+    seen = []
+
+    def copy(band_ids, block):
+        seen.append((band_ids, block.dtype))
+        return block.copy()
+
+    got = list(resample.map_cube_rows(header, copy))
+    assert seen == [(CANONICAL_ORDER, np.float32)] * 5
+    assert np.array_equal(np.concatenate(got), payload)
 
 
 def test_no_map_larger_than_one_block_is_built(tmp_path, monkeypatch):
@@ -510,6 +520,91 @@ def test_results_are_dropped_once_yielded(n):
 
 
 # ---------------------------------------------------------------------------
+# the block reader and its buffers
+
+
+def test_a_stream_of_many_blocks_reads_into_two_buffers(tmp_path, monkeypatch):
+    """23 one-row blocks are read into at most two buffers, which the stream
+    reuses and drops when it ends; the helper thread reads its own blocks.
+    The threads switch every few microseconds, so a buffer refilled while
+    its block is mapped would show in the map."""
+    cube = write_cube(tmp_path, ROWS, COLS)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", COLS)
+    buffers, readers = {}, set()
+    read_rows = resample._read_rows
+
+    def recording_read_rows(fd, header, r0, r1, buf):
+        buffers.setdefault(id(buf), weakref.ref(buf))  # a live buffer keeps its id
+        readers.add(threading.current_thread() is threading.main_thread())
+        return read_rows(fd, header, r0, r1, buf)
+
+    monkeypatch.setattr(resample, "_read_rows", recording_read_rows)
+    header = resample.read_cube_header(cube)
+    payload = np.fromfile(tmp_path / "cube.f32", dtype="<f4").reshape(ROWS, COLS, -1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = np.concatenate(list(resample.map_cube_rows(header, indexes.fdi)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, indexes.fdi(CANONICAL_ORDER, payload))
+    assert 1 <= len(buffers) <= 2
+    assert all(ref() is None for ref in buffers.values())
+    assert False in readers  # a block read off the calling thread
+    for argv in commands(cube, write_model(tmp_path), tmp_path):
+        buffers.clear()
+        assert main(argv) == 0, argv
+        assert 1 <= len(buffers) <= 2, argv
+
+
+@pytest.mark.parametrize("block_pixels", [COLS, ROWS * COLS])  # 23 blocks; one block
+@pytest.mark.parametrize("fn", [
+    lambda band_ids, block: block,
+    lambda band_ids, block: block[:, :, 3],
+    lambda band_ids, block: block.reshape(-1, len(band_ids))[5:9],
+], ids=["block", "plane", "rows"])
+def test_a_result_that_shares_its_block_is_refused(tmp_path, monkeypatch, block_pixels, fn):
+    """The buffer a block is read into is refilled by a later block, so a
+    result that is the block or a view of it would change under its user."""
+    cube = write_cube(tmp_path, ROWS, COLS)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="must not share memory with the block"):
+        list(resample.map_cube_rows(resample.read_cube_header(cube), fn))
+    assert threading.active_count() == threads
+
+
+def test_a_payload_cut_after_its_header_check_leaves_no_output(tmp_path, monkeypatch, capsys):
+    """The payload loses its last value between the header's size check and
+    the block reads: each step fails on its last block with one line."""
+    cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
+    mask = write_mask_for(tmp_path, ROWS, COLS)
+    monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 5 * COLS)
+    read_cube_header = resample.read_cube_header
+    payload = (tmp_path / "cube.f32").read_bytes()
+    n_bytes = len(payload)
+
+    def cutting_read_cube_header(path):
+        header = read_cube_header(path)
+        (tmp_path / "cube.f32").write_bytes(payload[:-4])
+        return header
+
+    monkeypatch.setattr(resample, "read_cube_header", cutting_read_cube_header)
+    out = tmp_path / "out"
+    out.mkdir()
+    threads = threading.active_count()
+    train = ["train", "--cube", str(cube), "--mask", str(mask), "--out", str(out / "m.json")]
+    for argv in [*commands(cube, model, out), train]:
+        (tmp_path / "cube.f32").write_bytes(payload)
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == (
+            f"litterscan {argv[0]}: cube: payload ends at byte {n_bytes - 4}, "
+            f"expected {n_bytes}\n")
+        assert threading.active_count() == threads
+    assert list(out.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # train
 
 
@@ -542,9 +637,9 @@ def test_train_bytes_do_not_depend_on_block_size_or_thread(tmp_path, monkeypatch
     blocks = []
     read_rows = resample._read_rows
 
-    def recording_read_rows(f, header, n_rows):
-        blocks.append(n_rows)
-        return read_rows(f, header, n_rows)
+    def recording_read_rows(fd, header, r0, r1, buf):
+        blocks.append(r1 - r0)
+        return read_rows(fd, header, r0, r1, buf)
 
     monkeypatch.setattr(resample, "_read_rows", recording_read_rows)
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", block_pixels)
@@ -556,7 +651,8 @@ def test_train_bytes_do_not_depend_on_block_size_or_thread(tmp_path, monkeypatch
         blocks.clear()
         assert trained(cube, mask, tmp_path / f"threaded-{chunk}") == whole
         assert threading.active_count() == threads
-        assert blocks == [per_block] * full + ([ragged] if ragged else [])
+        # in the order the two threads start their reads
+        assert sorted(blocks) == sorted([per_block] * full + ([ragged] if ragged else []))
     monkeypatch.setattr(resample, "ThreadPoolExecutor", InlineExecutor)
     assert trained(cube, mask, tmp_path / "serial") == whole
 
