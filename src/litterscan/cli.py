@@ -142,7 +142,9 @@ def _cmd_index(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.seed)  # before any read
+    # bad split or stopping flags fail before any read
+    spec = dataset.SplitSpec(args.train_frac, args.val_frac, args.seed)
+    cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
     header = resample.read_cube_header(args.cube)
     labels = raster_io.read_mask(args.mask)
     dataset.check_grid(header, labels)  # before balance: a wrong mask fails as a mismatch
@@ -155,7 +157,6 @@ def _cmd_train(args) -> None:
     dataset.normalize_set(norm, x)
     train_set, val_set, (test_x, test_y) = zip(np.split(x, ends), np.split(y, ends))
 
-    cfg = mlp.TrainConfig(max_iters=args.max_iters, max_val_failures=args.val_failures)
     model = mlp.init_model(args.seed, norm, header.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 

@@ -18,8 +18,9 @@ training stops when the gradient norm falls below GRAD_TOL.
 
 Flat weight layout (151 = 14*10 + 11): the 10x14 hidden matrix row-major
 (columns 0..12 input weights, column 13 bias), then the 11 output weights
-(10 hidden weights, then bias). Gradients, serialization and tests all use
-this order.
+(10 hidden weights, then bias). It is the model's own: `MlpModel.weights` is
+this vector, and `_layers` is the one place that splits it into the two
+layers. The model, its gradient and its file all use this order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import check_band_ids
 from .dataset import N_FEATURES, Normalizer
 from .raster_io import read_json_object, write_json
 from .rng import SplitMix64
@@ -53,26 +55,21 @@ _CHUNK_PIXELS = 1 << 13
 
 @dataclass(frozen=True)
 class MlpModel:
-    w_hidden: np.ndarray  # (10, 14)
-    w_output: np.ndarray  # (11,)
+    weights: np.ndarray  # (151,), read-only, in the flat layout
     normalizer: Normalizer
     band_order: tuple[str, ...]
 
     def __post_init__(self):
-        wh = np.ascontiguousarray(np.asarray(self.w_hidden, dtype=np.float64))
-        wo = np.ascontiguousarray(np.asarray(self.w_output, dtype=np.float64))
-        if wh.shape != (N_HIDDEN, N_FEATURES + 1):
-            raise ValueError(f"w_hidden must be {(N_HIDDEN, N_FEATURES + 1)}")
-        if wo.shape != (N_HIDDEN + 1,):
-            raise ValueError(f"w_output must be ({N_HIDDEN + 1},)")
-        if not (np.isfinite(wh).all() and np.isfinite(wo).all()):
+        w = np.array(self.weights, dtype=np.float64)
+        if w.shape != (N_PARAMS,):
+            raise ValueError(f"expected {N_PARAMS} weights, got {w.shape}")
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
+        check_band_ids(self.band_order, what="model band_order")
         if len(self.band_order) != N_FEATURES:
             raise ValueError(f"band_order must list {N_FEATURES} bands")
-        wh.setflags(write=False)
-        wo.setflags(write=False)
-        object.__setattr__(self, "w_hidden", wh)
-        object.__setattr__(self, "w_output", wo)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "band_order", tuple(self.band_order))
 
 
@@ -109,14 +106,10 @@ def init_model(seed: int, normalizer: Normalizer, band_order) -> MlpModel:
     layer; draw order matches the flat weight layout."""
     rng = SplitMix64(seed)
     r_h = math.sqrt(6.0 / (N_FEATURES + N_HIDDEN))
-    wh = rng.uniforms(-r_h, r_h, N_HIDDEN * (N_FEATURES + 1)).reshape(N_HIDDEN, N_FEATURES + 1)
     r_o = math.sqrt(6.0 / (N_HIDDEN + 1))
-    wo = rng.uniforms(-r_o, r_o, N_HIDDEN + 1)
-    return MlpModel(wh, wo, normalizer, tuple(band_order))
-
-
-def flatten_weights(model: MlpModel) -> np.ndarray:
-    return np.concatenate([model.w_hidden.reshape(-1), model.w_output])
+    return MlpModel(np.concatenate([rng.uniforms(-r_h, r_h, N_HIDDEN * (N_FEATURES + 1)),
+                                    rng.uniforms(-r_o, r_o, N_HIDDEN + 1)]),
+                    normalizer, band_order)
 
 
 def _layers(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +119,7 @@ def _layers(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def with_weights(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (N_PARAMS,):
-        raise ValueError(f"expected {N_PARAMS} weights, got {flat.shape}")
-    return MlpModel(*_layers(flat), model.normalizer, model.band_order)
+    return MlpModel(flat, model.normalizer, model.band_order)
 
 
 _TINY = np.nextafter(0.0, 1.0)
@@ -169,7 +159,7 @@ def _scores(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """x: (n, 13) normalized features -> (n,) outputs in (0, 1)."""
-    return _scores(model.w_hidden, model.w_output, np.asarray(x, dtype=np.float64))
+    return _scores(*_layers(model.weights), np.asarray(x, dtype=np.float64))
 
 
 def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
@@ -198,12 +188,12 @@ def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
 
 def loss(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared error against 0/1 targets."""
-    return _objective(flatten_weights(model), x, labels)[0]
+    return _objective(model.weights, x, labels)[0]
 
 
 def gradient(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Exact MSE gradient via backprop, in flat layout order."""
-    return _objective(flatten_weights(model), x, labels)[1]()
+    return _objective(model.weights, x, labels)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +215,7 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     if len(train_set[0]) == 0 or len(val_set[0]) == 0:
         raise ValueError("train and validation sets must be nonempty")
 
-    w = flatten_weights(model)
+    w = model.weights
     f_w, grad = _objective(w, *train_set)
     g = grad()
     d = -g
@@ -293,7 +283,8 @@ def fold_normalizer(model: MlpModel) -> np.ndarray:
     a*x + c, with a = 2/(max - min) and c = -2*min/(max - min) - 1, folded
     into W' = W*diag(a) and b' = W*c + b. A folded weight that is not finite
     in float64 raises ValueError."""
-    norm, w, b = model.normalizer, model.w_hidden[:, :N_FEATURES], model.w_hidden[:, N_FEATURES]
+    norm, wh = model.normalizer, _layers(model.weights)[0]
+    w, b = wh[:, :N_FEATURES], wh[:, N_FEATURES]
     span = norm.maximum - norm.minimum
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned about
         a = 2.0 / span
@@ -312,16 +303,18 @@ def predict_map(model: MlpModel, band_ids: tuple[str, ...], values: np.ndarray) 
     if band_ids != model.band_order:
         raise ValueError(f"cube bands {band_ids} do not match model bands {model.band_order}")
     x = values.reshape(-1, N_FEATURES)
-    return _scores(fold_normalizer(model), model.w_output, x).reshape(values.shape[:2])
+    wo = _layers(model.weights)[1]
+    return _scores(fold_normalizer(model), wo, x).reshape(values.shape[:2])
 
 
 def save_model(model: MlpModel, path: str | os.PathLike) -> None:
+    wh, wo = _layers(model.weights)
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "shape": [N_FEATURES, N_HIDDEN, 1],
         "activations": list(ACTIVATIONS),
-        "weights_hidden": [list(row) for row in model.w_hidden],
-        "weights_output": list(model.w_output),
+        "weights_hidden": [list(row) for row in wh],
+        "weights_output": list(wo),
         "normalizer": {
             "min": list(model.normalizer.minimum),
             "max": list(model.normalizer.maximum),
@@ -367,6 +360,7 @@ def load_model(path: str | os.PathLike) -> MlpModel:
         raise ValueError("model normalizer must be an object with min and max")
     if not (isinstance(bands, list) and all(isinstance(b, str) for b in bands)):
         raise ValueError("model band_order must be a list of band ids")
-    return MlpModel(wh, wo, Normalizer(_numbers(norm.get("min"), "normalizer min"),
-                                       _numbers(norm.get("max"), "normalizer max")),
-                    tuple(bands))
+    return MlpModel(np.concatenate([wh.reshape(-1), wo]),
+                    Normalizer(_numbers(norm.get("min"), "normalizer min"),
+                               _numbers(norm.get("max"), "normalizer max")),
+                    bands)

@@ -21,7 +21,6 @@ from litterscan.evaluation import ConfusionMatrix, metrics
 from litterscan.mlp import (
     N_PARAMS,
     TrainConfig,
-    flatten_weights,
     gradient,
     init_model,
     load_model,
@@ -53,7 +52,7 @@ def report(n: int, text: str) -> None:
 def test_criterion_01_parameter_count():
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
     assert N_PARAMS == 151
-    assert flatten_weights(m).size == 14 * 10 + 11 == 151
+    assert m.weights.size == 14 * 10 + 11 == 151
     report(1, "13-10-1 model has exactly 151 trainable weights")
 
 
@@ -67,7 +66,7 @@ def test_criterion_02_gradient_correctness():
         feats = np.array([[rng.uniform(-1.5, 1.5) for _ in range(13)] for _ in range(n)])
         labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
         g = gradient(m, feats, labels)
-        w = flatten_weights(m)
+        w = m.weights
         gfd = np.empty_like(g)
         for i in range(w.size):
             wp = w.copy(); wp[i] += h
@@ -236,7 +235,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     m = init_model(3, Normalizer(np.zeros(13), np.full(13, 4095.0)), CANONICAL_ORDER)
     save_model(m, tmp_path / "m.json")
     m2 = load_model(tmp_path / "m.json")
-    assert np.array_equal(flatten_weights(m), flatten_weights(m2))
+    assert np.array_equal(m.weights, m2.weights)
     # mask
     labels = rng.integers(0, 2, size=(25, 31)).astype(np.uint8)
     write_mask(labels, tmp_path / "m.pgm")

@@ -164,6 +164,24 @@ def test_train_refuses_a_bad_split_before_extracting_samples(tmp_path, scene, mo
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iters", "-1", "max_iters must be nonnegative"),
+    ("--val-failures", "0", "max_val_failures must be positive"),
+])
+def test_train_refuses_a_bad_stopping_flag_before_extracting_samples(tmp_path, scene, monkeypatch,
+                                                                     capsys, flag, value, message):
+    def no_extract(*args):
+        raise AssertionError("samples were extracted for a bad stopping flag")
+
+    monkeypatch.setattr(dataset, "extract_samples", no_extract)
+    cube_path, mask_path = scene
+    model = tmp_path / "model.json"
+    assert run("train", "--cube", str(cube_path), "--mask", str(mask_path),
+               "--out", str(model), flag, value) == 1
+    assert capsys.readouterr().err == f"litterscan train: {message}\n"
+    assert not model.exists()
+
+
 def test_import_and_resample(tmp_path):
     # two PGM bands at different resolutions -> stack -> aligned cube
     rng = np.random.default_rng(0)
@@ -222,6 +240,10 @@ MALFORMED_MODELS = {
     "activations_relu": lambda doc: {**doc, "activations": ["relu", "logistic"]},
     "weights_object": lambda doc: {**doc, "weights_output": {"w": 1}},
     "band_order_number": lambda doc: {**doc, "band_order": 13},
+    "band_order_duplicate": lambda doc: {**doc, "band_order": ["B1"] * 13},
+    # 151 numbers in all, but the hidden matrix written as 14x10
+    "weights_hidden_transposed": lambda doc: {
+        **doc, "weights_hidden": [list(col) for col in zip(*doc["weights_hidden"])]},
     "weights_strings": lambda doc: {**doc, "weights_output": [str(w) for w in
                                                               doc["weights_output"]]},
     "normalizer_bools": lambda doc: {**doc, "normalizer": {**doc["normalizer"],

@@ -14,7 +14,6 @@ from litterscan.mlp import (
     _logistic,
     MlpModel,
     TrainConfig,
-    flatten_weights,
     forward_batch,
     gradient,
     init_model,
@@ -33,7 +32,7 @@ UNIT_NORM = Normalizer(np.full(13, -1.0), np.full(13, 1.0))
 def pinned_model():
     wh = np.array([[((i * 14 + j) % 7 - 3) / 10 for j in range(14)] for i in range(10)])
     wo = np.array([((j * 3) % 5 - 2) / 10 for j in range(11)])
-    return MlpModel(wh, wo, UNIT_NORM, CANONICAL_ORDER)
+    return MlpModel(np.concatenate([wh.reshape(-1), wo]), UNIT_NORM, CANONICAL_ORDER)
 
 
 def random_set(n, seed):
@@ -52,16 +51,16 @@ def xor_set():
 def test_parameter_count_is_151():
     assert N_PARAMS == 14 * 10 + 11 == 151
     m = init_model(0, UNIT_NORM, CANONICAL_ORDER)
-    assert flatten_weights(m).size == 151
+    assert m.weights.size == 151
 
 
 def test_init_deterministic_and_bounded():
     a = init_model(5, UNIT_NORM, CANONICAL_ORDER)
     b = init_model(5, UNIT_NORM, CANONICAL_ORDER)
-    assert np.array_equal(flatten_weights(a), flatten_weights(b))
-    assert np.abs(flatten_weights(a)).max() < 1.0
+    assert np.array_equal(a.weights, b.weights)
+    assert np.abs(a.weights).max() < 1.0
     c = init_model(6, UNIT_NORM, CANONICAL_ORDER)
-    assert not np.array_equal(flatten_weights(a), flatten_weights(c))
+    assert not np.array_equal(a.weights, c.weights)
 
 
 def test_forward_zero_weights_is_half():
@@ -119,7 +118,7 @@ def test_loss_examples():
 
 
 def finite_difference_gradient(model, samples, h=1e-5):
-    w = flatten_weights(model)
+    w = model.weights
     g = np.empty_like(w)
     for i in range(w.size):
         wp = w.copy(); wp[i] += h
@@ -171,7 +170,7 @@ def test_train_zero_iters_returns_initial_model():
     m = init_model(1, UNIT_NORM, CANONICAL_ORDER)
     s = random_set(12, 0)
     out, report = train(m, s, s, TrainConfig(max_iters=0))
-    assert np.array_equal(flatten_weights(out), flatten_weights(m))
+    assert np.array_equal(out.weights, m.weights)
     assert report.stop_reason == "max_iters"
     assert report.iterations_run == 0
 
@@ -183,7 +182,7 @@ def test_train_deterministic():
     for _ in range(2):
         m = init_model(3, UNIT_NORM, CANONICAL_ORDER)
         out, _ = train(m, s, v, TrainConfig(max_iters=50))
-        runs.append(flatten_weights(out))
+        runs.append(out.weights)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -287,7 +286,7 @@ def test_predict_map_folds_the_normalizer_into_the_first_layer():
     assert folded.shape == (10, 14)
     ones = np.ones((x.shape[0], 1))
     assert np.allclose(np.hstack([x, ones]) @ folded.T,
-                       np.hstack([apply_normalizer(norm, x), ones]) @ m.w_hidden.T,
+                       np.hstack([apply_normalizer(norm, x), ones]) @ mlp._layers(m.weights)[0].T,
                        rtol=1e-12, atol=1e-9)
 
 
@@ -302,7 +301,7 @@ def test_model_round_trip(tmp_path):
     path = tmp_path / "m.json"
     save_model(m, path)
     back = load_model(path)
-    assert np.array_equal(flatten_weights(back), flatten_weights(m))
+    assert np.array_equal(back.weights, m.weights)
     assert back.band_order == m.band_order
     x = np.linspace(100, 4000, 13)
     xn = 2 * (x - back.normalizer.minimum) / (back.normalizer.maximum - back.normalizer.minimum) - 1
@@ -317,6 +316,20 @@ def test_load_model_wrong_weight_count(tmp_path):
     doc["weights_output"] = doc["weights_output"][:-1]  # 150 weights total
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="parameter counts"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("band_order, message", [
+    (["B1"] * 13, "model band_order: duplicate band id 'B1'"),
+    (["X1", *CANONICAL_ORDER[1:]], "model band_order: unknown band id 'X1'"),
+])
+def test_load_model_checks_its_band_ids(tmp_path, band_order, message):
+    """A model's band_order follows the one rule for band id lists, so a bad
+    one fails when the model loads, not at the first cube block."""
+    path = tmp_path / "m.json"
+    save_model(pinned_model(), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "band_order": band_order}))
+    with pytest.raises(ValueError, match=message):
         load_model(path)
 
 

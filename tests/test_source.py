@@ -1,8 +1,8 @@
 """Source hygiene of the package: every name a module imports is used there,
 only raster_io writes, renames or removes a file, a payload is read in
 bulk in two places only, one function starts threads, only rng draws one
-value at a time, and public API that src/ never refers to is kept only for
-a stated reason."""
+value at a time, one function splits the flat weight vector into layers,
+and public API that src/ never refers to is kept only for a stated reason."""
 
 import ast
 from pathlib import Path
@@ -115,6 +115,39 @@ PER_DRAW_METHODS = {"next_u64", "next_float", "next_below", "uniform", "normal",
 def test_only_rng_draws_one_value_at_a_time():
     files = {path for path, _ in package_uses(PER_DRAW_METHODS)}
     assert files == {"rng.py"}, files
+
+
+# The flat weight layout is split in one place: `mlp._layers` views the
+# 151-weight vector as the (N_HIDDEN, N_FEATURES + 1) hidden matrix and the
+# output weights. A second reshape into that matrix would state the layout
+# twice.
+HIDDEN_SHAPES = (["N_HIDDEN", "N_FEATURES + 1"], ["10", "14"])
+
+
+def hidden_matrix_reshapes(path: Path):
+    """(file name, name of the top-level function or None) of each
+    `x.reshape(...)` or `np.reshape(x, ...)` call in the module at `path`
+    whose shape is the hidden matrix's, written with mlp's constants, with
+    or without a module prefix, or as the numbers 10 and 14."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reshape"):
+                continue
+            args = node.args
+            if getattr(node.func.value, "id", None) in ("np", "numpy"):
+                args = args[1:]  # np.reshape(x, shape)
+            if len(args) == 1 and isinstance(args[0], (ast.Tuple, ast.List)):
+                args = args[0].elts
+            shape = [ast.unparse(a).replace("mlp.", "") for a in args]
+            if shape in HIDDEN_SHAPES:
+                yield path.name, name
+
+
+def test_only_layers_reshapes_weights_into_the_hidden_matrix():
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in hidden_matrix_reshapes(path)]
+    assert uses == [("mlp.py", "_layers")], uses
 
 
 # Public API that no code in src/ refers to stays only for a stated reason:

@@ -21,7 +21,7 @@ import pytest
 
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import Normalizer
-from litterscan.mlp import TrainConfig, flatten_weights, init_model, train
+from litterscan.mlp import TrainConfig, init_model, train
 from litterscan.rng import SplitMix64
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "train_golden.json")
@@ -50,7 +50,7 @@ def train_digests(cfg: TrainConfig) -> dict:
     report_json = json.dumps(dataclasses.asdict(report), indent=2).encode()
     return {"stop_reason": report.stop_reason,
             "iterations_run": report.iterations_run,
-            "weights": hashlib.sha256(flatten_weights(fitted).tobytes()).hexdigest(),
+            "weights": hashlib.sha256(fitted.weights.tobytes()).hexdigest(),
             "report": hashlib.sha256(report_json).hexdigest()}
 
 
