@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import CANONICAL_ORDER
-from .raster_io import check_labels, row_ranges
+from .raster_io import row_ranges
 from .resample import CubeHeader, map_cube_rows
 from .rng import SplitMix64
 
@@ -73,12 +73,11 @@ def check_grid(header: CubeHeader, labels: np.ndarray) -> None:
 
 def balance(labels: np.ndarray, seed: int) -> np.ndarray:
     """The sorted flat indices of the pixels kept when the majority class of
-    the {0, 1} `labels` is undersampled to the minority count.
+    the 2-D bool mask `labels` is undersampled to the minority count.
 
     The majority subset is the first k entries of a seeded Fisher-Yates
     shuffle of the majority indices.
     """
-    check_labels(labels)
     idx0 = np.flatnonzero(labels == 0)
     idx1 = np.flatnonzero(labels == 1)
     if idx0.size == 0 or idx1.size == 0:
@@ -94,8 +93,6 @@ def split(pixels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, tuple[int, i
     floor(n*val) and the remainder, the test part. A train or validation
     part of no pixel raises ValueError."""
     n = len(pixels)
-    if n == 0:
-        raise ValueError("cannot split an empty sample set")
     n_train, n_val = int(n * spec.train_frac), int(n * spec.val_frac)
     if n_train == 0 or n_val == 0:
         raise ValueError(f"train and validation sets must be nonempty: {n} samples "
@@ -108,18 +105,13 @@ def extract_samples(header: CubeHeader, labels: np.ndarray,
                     pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (n, 13) float64 band values and the (n,) labels of `pixels`, flat
     indices into the cube's grid: row i is the i-th pixel, its values widened
-    from f32 and its label in `labels`, a mask on that grid. One pass over
-    the cube's row blocks (`resample.map_cube_rows`, every value of every
-    band checked) gathers each block's pixels in the thread that maps it and
-    writes them straight into their rows. A pixel index outside the grid or
-    given twice raises ValueError before the cube is read."""
-    check_grid(header, labels)
+    from f32 and its label in `labels`, a mask on that grid (`check_grid`).
+    Each pixel of the grid is given at most once, as `balance` and `split`
+    give them. One pass over the cube's row blocks (`resample.map_cube_rows`,
+    every value of every band checked) gathers each block's pixels in the
+    thread that maps it and writes them straight into their rows."""
     rows = np.argsort(pixels)  # the row of each pixel, in grid order
     in_grid_order = pixels[rows]
-    if len(pixels) and not 0 <= in_grid_order[0] <= in_grid_order[-1] < labels.size:
-        raise ValueError(f"a pixel index is outside the {header.rows}x{header.cols} grid")
-    if (in_grid_order[1:] == in_grid_order[:-1]).any():
-        raise ValueError("a pixel index is given twice")
 
     def offsets():
         """Each block's kept pixels, in grid order, as offsets into the block."""
@@ -144,8 +136,6 @@ def extract_samples(header: CubeHeader, labels: np.ndarray,
 
 def fit_normalizer(features: np.ndarray) -> Normalizer:
     """The per-band min/max of the (n, 13) training rows `features`."""
-    if len(features) == 0:
-        raise ValueError("cannot fit a normalizer on an empty set")
     return Normalizer(features.min(axis=0), features.max(axis=0))
 
 
@@ -167,7 +157,7 @@ def apply_normalizer(norm: Normalizer, v: np.ndarray) -> np.ndarray:
 
 
 def dataset_report(labels: np.ndarray) -> dict:
-    """Class counts of the {0, 1} `labels` and whether they give more than
+    """Class counts of the bool `labels` and whether they give more than
     MIN_SAMPLES_PER_WEIGHT samples per network weight."""
     from .mlp import N_PARAMS  # mlp imports this module, so bind at call time
 

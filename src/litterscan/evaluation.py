@@ -1,6 +1,7 @@
 """2x2 confusion matrices and derived rates, reported both as raw ratios
 and as one-decimal percentages. Two PGM masks are compared row block by
-row block (`confusion_of_masks`), so no mask is ever read whole."""
+row block (`confusion_of_masks`), so no mask is ever read whole; their
+headers are the one place where two grids are checked to agree."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .raster_io import check_labels, mask_rows
+from .raster_io import mask_rows
 
 
 @dataclass(frozen=True)
@@ -22,32 +23,16 @@ class ConfusionMatrix:
     fn: int
     tp: int
 
-    def __post_init__(self):
-        for name in ("tn", "fp", "fn", "tp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.total == 0:
-            raise ValueError("confusion matrix is empty")
-
     @property
     def total(self) -> int:
         return self.tn + self.fp + self.fn + self.tp
 
 
 def confusion(predicted, truth) -> ConfusionMatrix:
-    """Counts of two {0, 1} label arrays of one shape (one size is not enough)."""
+    """Counts of two bool masks of one shape."""
     p, t = np.asarray(predicted), np.asarray(truth)
-    check_labels(p)
-    check_labels(t)
-    _check_shapes(p.shape, t.shape)
     n_p, n_t, tp = (int(np.count_nonzero(a)) for a in (p, t, np.logical_and(p, t)))
     return ConfusionMatrix(tn=p.size - n_p - n_t + tp, fp=n_p - tp, fn=n_t - tp, tp=tp)
-
-
-def _check_shapes(predicted: tuple[int, ...], truth: tuple[int, ...]) -> None:
-    if predicted != truth:
-        raise ValueError(f"size mismatch: predicted {'x'.join(map(str, predicted))}, "
-                         f"truth {'x'.join(map(str, truth))}")
 
 
 def confusion_of_masks(predicted: str | os.PathLike, truth: str | os.PathLike) -> ConfusionMatrix:
@@ -56,7 +41,9 @@ def confusion_of_masks(predicted: str | os.PathLike, truth: str | os.PathLike) -
     any pixel is counted; then the cells are counted per row block of both
     payloads."""
     with mask_rows(predicted) as (shape, p_rows), mask_rows(truth) as (t_shape, t_rows):
-        _check_shapes(shape, t_shape)
+        if shape != t_shape:
+            raise ValueError(f"size mismatch: predicted {'x'.join(map(str, shape))}, "
+                             f"truth {'x'.join(map(str, t_shape))}")
         cells = np.zeros(4, dtype=np.int64)  # tn, fp, fn, tp
         for p, t in zip(p_rows, t_rows):
             cells += astuple(confusion(p, t))

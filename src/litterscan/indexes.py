@@ -2,7 +2,9 @@
 threshold masks. An index reads a cube (or cube block) as its band ids and
 its (rows, cols, n_bands) values, and widens to float64 only the planes it
 reads (`plane`). A map is a (rows, cols) float64 array and a mask a bool
-array, on the grid of the cube they are computed from."""
+array, on the grid of the cube they are computed from. Values come checked:
+the cube reader refuses a non-finite band value, and the command line a
+non-finite threshold before it reads the cube."""
 
 from __future__ import annotations
 
@@ -22,11 +24,9 @@ FDI_WAVELENGTH_FACTOR = 10.0 * (
 
 def normalized_difference(a, b):
     """(a - b) / (a + b) elementwise; 0 where a + b = 0 so all-dark pixels
-    stay neutral instead of going NaN."""
+    stay neutral instead of going NaN. A negative input raises ValueError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("inputs must be finite")
     if (a < 0).any() or (b < 0).any():
         raise ValueError("inputs must be nonnegative")
     s = a + b
@@ -80,5 +80,4 @@ def combined_index_mask(band_ids: Sequence[str], values: np.ndarray,
                         ndvi_max: float, fdi_min: float) -> np.ndarray:
     """True where FDI >= fdi_min and NDVI <= ndvi_max: debris is FDI-bright
     and not vegetation."""
-    check_threshold(ndvi_max, fdi_min)
     return (fdi(band_ids, values) >= fdi_min) & (ndvi(band_ids, values) <= ndvi_max)

@@ -167,8 +167,6 @@ def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
     against their 0/1 `labels`, and a function giving its exact gradient, in
     flat layout order, by backprop through the same pass. The gradient
     overwrites the pass's hidden activations, so it may be called only once."""
-    if len(x) == 0:
-        raise ValueError("cannot evaluate the network on an empty sample set")
     wh, wo = _layers(flat)
     h, y = _forward(wh, wo, x)
     e = y - labels.astype(np.float64)
@@ -203,7 +201,7 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
           val_set: tuple[np.ndarray, np.ndarray],
           cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainReport]:
     """Polak-Ribiere+ conjugate gradient on the 151-d weight vector, fitted to
-    `train_set` and validated on `val_set`, each an (x, labels) pair of
+    `train_set` and validated on `val_set`, each a nonempty (x, labels) pair of
     (n, 13) normalized features and their (n,) 0/1 labels.
 
     Direction restarts to steepest descent every CG_RESTART_EVERY
@@ -212,9 +210,6 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     increases across accepted steps. The model with the best validation
     loss seen after any accepted step is the one returned.
     """
-    if len(train_set[0]) == 0 or len(val_set[0]) == 0:
-        raise ValueError("train and validation sets must be nonempty")
-
     w = model.weights
     f_w, grad = _objective(w, *train_set)
     g = grad()

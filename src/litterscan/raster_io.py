@@ -166,10 +166,10 @@ def write_f4(path: str | os.PathLike, values: np.ndarray | Iterable[np.ndarray],
 
 
 def _pgm(threshold: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The mask encoder, one byte per pixel whatever the block's dtype: 255
-    where the block is >= `threshold` or, when `threshold` is None, where
-    the {0, 1} labels are 1. A block to be thresholded must be finite, so
-    that no NaN becomes a 0 unseen."""
+    """The mask encoder, one byte per pixel: 255 where the block is >=
+    `threshold` or, when `threshold` is None, where the block, a mask, is
+    True. A block to be thresholded must be finite, so that no NaN becomes
+    a 0 unseen."""
     def encode(block: np.ndarray) -> np.ndarray:
         if threshold is None:
             return (block != 0) * np.uint8(255)
@@ -183,10 +183,10 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
               raster=None, mask=None, threshold: float | None = None) -> None:
     """Write a rows x cols map, an array or its row blocks, in one pass: as
     a float raster at path `raster`, with its sidecar, and/or as a PGM mask
-    at path `mask` of the pixels >= `threshold`, or of the map itself as
-    {0, 1} labels when `threshold` is None. When it writes a raster or
-    applies a threshold, a value that is not finite (in float32, for a
-    raster) in any block raises ValueError and no file is left."""
+    at path `mask` of the pixels >= `threshold`, or of the map itself as a
+    mask when `threshold` is None. When it writes a raster or applies a
+    threshold, a value that is not finite (in float32, for a raster) in any
+    block raises ValueError and no file is left."""
     files = []
     if raster is not None:
         sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
@@ -263,16 +263,7 @@ class Band:
     pixels: np.ndarray  # (rows, cols) uint16
 
     def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 2 or px.size == 0:
-            raise ValueError("pixels must be a non-empty 2-D grid")
-        if px.dtype != np.uint16:
-            if not np.issubdtype(px.dtype, np.integer):
-                raise ValueError("pixels must be integers")
-            if not np.can_cast(px.dtype, np.uint16) and (px.min() < 0 or px.max() > 0xFFFF):
-                raise ValueError("pixel values must fit in 16 bits")
-            px = px.astype(np.uint16)
-        px = np.ascontiguousarray(px)
+        px = np.ascontiguousarray(self.pixels, dtype=np.uint16)  # from a PGM or a u16le payload
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
@@ -311,13 +302,6 @@ class BandStack:
     @property
     def band_ids(self) -> tuple[str, ...]:
         return tuple(b.spec.id for b in self.bands)
-
-
-def check_labels(labels: np.ndarray) -> None:
-    """Raise ValueError unless every label is 0 or 1. A bool array passes by
-    its dtype; any other array is compared as it is, before any cast."""
-    if labels.dtype != np.bool_ and not ((labels == 0) | (labels == 1)).all():
-        raise ValueError("labels must be 0 or 1")
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +420,7 @@ def mask_rows(path: str | os.PathLike) -> Iterator[tuple[tuple[int, int], Iterat
 
 
 def write_mask(labels: np.ndarray, path: str | os.PathLike) -> None:
-    """A non-empty 2-D array of {0, 1} labels, of any dtype, as a PGM mask."""
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 2-D grid")
-    check_labels(labels)
+    """The 2-D bool mask `labels` as a PGM mask."""
     write_map(labels, *labels.shape, mask=path)
 
 
@@ -453,11 +433,3 @@ def write_float_raster(values: np.ndarray, path: str | os.PathLike) -> None:
     if values.ndim != 2 or values.size == 0:
         raise ValueError("values must be a non-empty 2-D grid")
     write_map(values, *values.shape, raster=path)
-
-
-def read_float_raster(path: str | os.PathLike) -> np.ndarray:
-    sidecar = f"{os.fspath(path)}.json"
-    rows, cols = read_dims(read_json_object(sidecar, "float raster sidecar"),
-                           f"float raster sidecar {sidecar}", "rows", "cols")
-    data = read_payload(path, "<f4", rows * cols, "float raster")
-    return data.reshape(rows, cols).astype(np.float64)

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +18,15 @@ def make_cube(planes: dict[str, np.ndarray]) -> tuple[tuple[str, ...], np.ndarra
 
 def make_band(band_id: str, pixels) -> Band:
     return Band(canonical_spec(band_id), np.asarray(pixels, dtype=np.uint16))
+
+
+def read_float_raster(path) -> np.ndarray:
+    """The <f4 float raster at `path`, shaped by its JSON sidecar, as float64."""
+    with open(f"{os.fspath(path)}.json", encoding="utf-8") as f:
+        meta = json.load(f)
+    data = np.fromfile(path, dtype="<f4")
+    assert data.size == meta["rows"] * meta["cols"], f"{path}: wrong payload size"
+    return data.reshape(meta["rows"], meta["cols"]).astype(np.float64)
 
 
 def oracle_lanczos3(x: float) -> float:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_band, oracle_resample
+from conftest import make_band, oracle_resample, read_float_raster
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main as cli_main
 from litterscan.dataset import (
@@ -32,7 +32,6 @@ from litterscan.mlp import (
 from litterscan.raster_io import (
     BandStack,
     load_stack,
-    read_float_raster,
     read_mask,
     save_stack,
     write_float_raster,

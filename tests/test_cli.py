@@ -4,14 +4,13 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import make_band
+from conftest import make_band, read_float_raster
 from litterscan.bands import CANONICAL_ORDER
 from litterscan import dataset
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import init_model, save_model
-from litterscan.raster_io import (BandStack, read_float_raster, read_json_object, read_mask,
-                                 save_stack, write_mask)
+from litterscan.raster_io import BandStack, read_json_object, read_mask, save_stack, write_mask
 from litterscan.indexes import plane
 from litterscan.resample import load_cube
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cube
-from litterscan import raster_io, resample
+from litterscan import raster_io
 from litterscan.bands import CANONICAL_ORDER
 from litterscan.dataset import (
     Normalizer,
@@ -77,30 +77,6 @@ def test_extract_samples_fills_each_set_in_its_own_order(tmp_path, monkeypatch):
     for xs, ys, pixels in zip(np.split(x, ends), np.split(y, ends), np.split(shuffled, ends)):
         assert np.array_equal(xs, cube.reshape(-1, 13)[pixels])
         assert np.array_equal(ys, mask.reshape(-1)[pixels])
-
-
-@pytest.mark.parametrize("sets, message", [
-    ((np.array([3, 0]), np.array([5, 3])), "a pixel index is given twice"),
-    ((np.array([0, 1]), np.array([-1])), "a pixel index is outside the 2x3 grid"),
-    ((np.array([6, 0]),), "a pixel index is outside the 2x3 grid"),
-])
-def test_extract_samples_refuses_a_repeated_or_outside_pixel_before_reading(
-        tmp_path, monkeypatch, sets, message):
-    _, header = write_full_cube(tmp_path / "c.json", 2, 3)
-
-    def no_read(*args):
-        raise AssertionError("the cube payload was read")
-
-    monkeypatch.setattr(resample, "_read_rows", no_read)
-    with pytest.raises(ValueError, match=message):
-        extract_samples(header, np.zeros((2, 3), dtype=bool), np.concatenate(sets))
-
-
-def test_extract_samples_dimension_mismatch(tmp_path):
-    _, header = write_full_cube(tmp_path / "c.json", 2, 2)
-    mask = np.zeros((3, 3), dtype=bool)
-    with pytest.raises(ValueError, match="mask 3x3 does not match cube 2x2"):
-        extract_samples(header, mask, np.arange(4))
 
 
 def test_extract_samples_needs_13_bands(tmp_path):

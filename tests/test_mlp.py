@@ -347,9 +347,3 @@ def test_load_minimal_handwritten_model(tmp_path):
     path.write_text(json.dumps(doc))
     m = load_model(path)
     assert forward_batch(m, np.zeros(13)[None])[0] == 0.5
-
-
-def test_train_rejects_empty_sets():
-    m = pinned_model()
-    with pytest.raises(ValueError):
-        loss(m, np.zeros((0, 13)), np.zeros(0, dtype=np.uint8))

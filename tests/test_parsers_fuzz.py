@@ -22,7 +22,7 @@ from litterscan.bands import CANONICAL_ORDER
 from litterscan.cli import main
 from litterscan.dataset import Normalizer
 from litterscan.mlp import MlpModel, init_model, load_model, save_model
-from litterscan.raster_io import BandStack, load_stack, read_float_raster, read_mask, write_mask
+from litterscan.raster_io import BandStack, load_stack, read_mask, write_mask
 from litterscan.resample import load_cube, save_cube
 from litterscan.synthetic import make_scene
 
@@ -94,17 +94,6 @@ def test_stack_manifest_parses_or_rejects(tmp_path, manifest, payload):
     (tmp_path / "s_B8.u16").write_bytes(payload)
     (tmp_path / "s.json").write_bytes(manifest)
     parses_or_rejects(load_stack, tmp_path / "s.json", BandStack)
-
-
-@FUZZ
-@given(sidecar=documents({"rows": 2, "cols": 3}),
-       payload=st.binary(max_size=32) | st.just(bytes(24)))
-def test_float_raster_sidecar_parses_or_rejects(tmp_path, sidecar, payload):
-    (tmp_path / "r.f32").write_bytes(payload)
-    (tmp_path / "r.f32.json").write_bytes(sidecar)
-    grid = parses_or_rejects(read_float_raster, tmp_path / "r.f32", np.ndarray)
-    if grid is not None:
-        assert grid.ndim == 2 and grid.size * 4 == len(payload)
 
 
 PGM_HEADERS = (st.text(alphabet=" \n\t#0123456789+-x", max_size=16).map(str.encode)

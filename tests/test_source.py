@@ -1,8 +1,9 @@
 """Source hygiene of the package: every name a module imports is used there,
 only raster_io writes, renames or removes a file, a payload is read in
-bulk in two places only, one function starts threads, only rng draws one
-value at a time, one function splits the flat weight vector into layers,
-and public API that src/ never refers to is kept only for a stated reason."""
+bulk in two places only, only the command line and `threshold_map` check a
+threshold, one function starts threads, only rng draws one value at a time,
+one function splits the flat weight vector into layers, and public API that
+src/ never refers to is kept only for a stated reason."""
 
 import ast
 from pathlib import Path
@@ -69,11 +70,10 @@ def test_only_raster_io_changes_files(path):
         assert not lines, f"{path.name} writes, renames or removes a file at lines {lines}"
 
 
-# The two bulk payload readers: `raster_io.read_payload` (band payloads and
-# float rasters, with `np.fromfile`) and `resample._read_rows` (the cube's
-# row blocks, under `load_cube` and `map_cube_rows`, with `os.preadv`). A
-# third would be a cube read that skips the block stream and its check of
-# every value.
+# The two bulk payload readers: `raster_io.read_payload` (band payloads,
+# with `np.fromfile`) and `resample._read_rows` (the cube's row blocks,
+# under `load_cube` and `map_cube_rows`, with `os.preadv`). A third would be
+# a cube read that skips the block stream and its check of every value.
 PAYLOAD_READERS = {("raster_io.py", "read_payload"), ("resample.py", "_read_rows")}
 
 
@@ -96,6 +96,16 @@ def package_uses(names: set[str]):
 def test_only_the_two_payload_readers_read_payload_bytes():
     uses = package_uses({"fromfile", "preadv"})
     assert sorted(uses) == sorted(PAYLOAD_READERS), uses
+
+
+# A threshold is checked where it enters: the command line checks each
+# threshold flag before it reads a cube, and `indexes.threshold_map`, the
+# whole-map oracle, checks its own argument. A check in a function that maps
+# blocks would test again, per block, a fact the command line already holds.
+def test_only_the_command_line_and_threshold_map_check_a_threshold():
+    uses = set(package_uses({"check_threshold"}))
+    outside_cli = {use for use in uses if use[0] != "cli.py"}
+    assert outside_cli == {("indexes.py", "threshold_map")} and uses - outside_cli, uses
 
 
 # The one threading design: `resample._in_order` computes alternate items of
@@ -153,9 +163,7 @@ def test_only_layers_reshapes_weights_into_the_hidden_matrix():
 # Public API that no code in src/ refers to stays only for a stated reason:
 # perfbench/tracing.py times it (its LAYERS), it is one of rng's per-draw
 # oracle methods above, or it is listed here with its reason.
-KEPT_UNREFERENCED = {
-    "raster_io.read_float_raster": "the float raster reader, fuzzed as a parser",
-}
+KEPT_UNREFERENCED: dict[str, str] = {}
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 
