@@ -57,8 +57,11 @@ def canonical_spec(band_id: str) -> BandSpec:
         raise ValueError(f"unknown band id {band_id!r}") from None
 
 
-def check_band_ids(ids: list[str], what: str) -> None:
-    """Raise ValueError unless every id is a known band id, each at most once."""
+def check_band_ids(ids, what: str) -> None:
+    """Raise ValueError unless `ids` is a list or tuple of known band ids,
+    each at most once."""
+    if not (isinstance(ids, (list, tuple)) and all(isinstance(b, str) for b in ids)):
+        raise ValueError(f"{what}: expected a list of band ids")
     for i, band_id in enumerate(ids):
         if band_id not in SENTINEL2_BANDS:
             raise ValueError(f"{what}: unknown band id {band_id!r}")

@@ -10,7 +10,6 @@ reruns produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import logging
 import os
@@ -148,7 +147,7 @@ def _cmd_train(args) -> None:
     header = resample.read_cube_header(args.cube)
     labels = raster_io.read_mask(args.mask)
     dataset.check_grid(header, labels)  # before balance: a wrong mask fails as a mismatch
-    log.info("dataset: %s", dataset.dataset_report(labels))
+    log.info("dataset: %s", mlp.dataset_report(labels))
 
     pixels, ends = dataset.split(dataset.balance(labels, args.seed), spec)
     x, y = dataset.extract_samples(header, labels, pixels)
@@ -160,16 +159,15 @@ def _cmd_train(args) -> None:
     model = mlp.init_model(args.seed, norm, header.band_ids)
     model, report = mlp.train(model, train_set, val_set, cfg)
 
-    test_pred = mlp.forward_batch(model, test_x) >= mlp.SCORE_THRESHOLD
-    cm = evaluation.confusion(test_pred, test_y)
-    test_metrics = evaluation.metrics(cm)
+    test_pred = mlp.forward_batch(model.weights, test_x) >= mlp.SCORE_THRESHOLD
+    test_metrics = evaluation.metrics(evaluation.confusion(test_pred, test_y))
     log.info("test error rate: %.3f%%", 100.0 * test_metrics["error_rate"])
 
     mlp.save_model(model, args.out)
     raster_io.write_json(args.report or args.out + ".report.json", {
-        "dataset": dataset.dataset_report(y),
+        "dataset": mlp.dataset_report(y),
         "split": {"train": len(train_set[1]), "val": len(val_set[1]), "test": len(test_y)},
-        "training": dataclasses.asdict(report),
+        "training": report,
         "test": test_metrics,
     })
 
@@ -184,9 +182,9 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    cm = evaluation.confusion_of_masks(args.pred, args.truth)
-    log.info("\n%s", evaluation.format_report(cm))
-    raster_io.write_json(args.out, evaluation.metrics(cm))
+    counts = evaluation.confusion_of_masks(args.pred, args.truth)
+    log.info("\n%s", evaluation.format_report(counts))
+    raster_io.write_json(args.out, evaluation.metrics(counts))
 
 
 def _cmd_make_synthetic(args) -> None:

@@ -18,7 +18,6 @@ from .resample import CubeHeader, map_cube_rows
 from .rng import SplitMix64
 
 N_FEATURES = len(CANONICAL_ORDER)
-MIN_SAMPLES_PER_WEIGHT = 15
 
 
 @dataclass(frozen=True)
@@ -154,22 +153,4 @@ def apply_normalizer(norm: Normalizer, v: np.ndarray) -> np.ndarray:
     v = np.array(v, dtype=np.float64)
     normalize_set(norm, v)
     return v
-
-
-def dataset_report(labels: np.ndarray) -> dict:
-    """Class counts of the bool `labels` and whether they give more than
-    MIN_SAMPLES_PER_WEIGHT samples per network weight."""
-    from .mlp import N_PARAMS  # mlp imports this module, so bind at call time
-
-    n = labels.size
-    n_pos = int(np.count_nonzero(labels))
-    spw = n / N_PARAMS
-    return {
-        "n_samples": n,
-        "n_negative": n - n_pos,
-        "n_positive": n_pos,
-        "n_weights": N_PARAMS,
-        "samples_per_weight": spw,
-        "samples_per_weight_ok": spw > MIN_SAMPLES_PER_WEIGHT,
-    }
 

@@ -5,11 +5,13 @@ early stopping.
 
 One objective, `_objective`, evaluates a flat weight vector: one forward pass
 gives the loss, and the gradient is backpropagated from its activations.
-`loss`, `gradient` and every line-search probe use it, so training spends one
-forward pass per weight vector it evaluates and builds no model per probe.
-Scores without gradients (`forward_batch`, `predict_map`) go through
-`_scores`, which runs the same `_forward` on a fixed chunk of rows at a time,
-so its working set does not grow with the rows it is given.
+`loss`, `gradient`, `forward_batch` and every line-search probe take that
+vector, so training spends one forward pass per weight vector it evaluates
+and builds one model, the one it returns. Scores without gradients
+(`forward_batch`, `predict_map`) go through `_scores`, which runs the same
+`_forward` on a fixed chunk of rows at a time, so its working set does not
+grow with the rows it is given. An `MlpModel` joins the vector to the
+normalizer and band order that a model file and a prediction need.
 
 The optimizer's constants are fixed (Nocedal & Wright, Numerical Optimization,
 sections 3.1 and 5.2): CG restarts every N_PARAMS iterations; Armijo search
@@ -25,6 +27,7 @@ layers. The model, its gradient and its file all use this order.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -38,6 +41,7 @@ from .rng import SplitMix64
 
 N_HIDDEN = 10
 N_PARAMS = (N_FEATURES + 1) * N_HIDDEN + (N_HIDDEN + 1)  # 151
+MIN_SAMPLES_PER_WEIGHT = 15
 MODEL_SCHEMA_VERSION = 1
 ACTIVATIONS = ("tanh", "logistic")  # hidden, output; the only pair supported
 SCORE_THRESHOLD = 0.5  # a pixel scored at or above it is plastic: predict's default
@@ -87,15 +91,6 @@ class TrainConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.max_val_failures <= 0:
             raise ValueError("max_val_failures must be positive")
-
-
-@dataclass(frozen=True)
-class TrainReport:
-    iterations_run: int
-    final_train_loss: float
-    final_val_loss: float
-    stop_reason: str  # max_iters | val_early_stop | gradient_converged
-    loss_history: tuple[tuple[int, float, float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +152,10 @@ def _scores(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """x: (n, 13) normalized features -> (n,) outputs in (0, 1)."""
-    return _scores(*_layers(model.weights), np.asarray(x, dtype=np.float64))
+def forward_batch(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (n,) outputs, in (0, 1), of the weights `flat` on the (n, 13)
+    normalized features `x`."""
+    return _scores(*_layers(flat), np.asarray(x, dtype=np.float64))
 
 
 def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
@@ -184,14 +180,30 @@ def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
     return float(np.mean(e * e)), grad
 
 
-def loss(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean squared error against 0/1 targets."""
-    return _objective(model.weights, x, labels)[0]
+def loss(flat: np.ndarray, x: np.ndarray, labels: np.ndarray) -> float:
+    """Mean squared error of the weights `flat` against 0/1 targets."""
+    return _objective(flat, x, labels)[0]
 
 
-def gradient(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Exact MSE gradient via backprop, in flat layout order."""
-    return _objective(model.weights, x, labels)[1]()
+def gradient(flat: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Exact MSE gradient of the weights `flat` via backprop, in flat layout order."""
+    return _objective(flat, x, labels)[1]()
+
+
+def dataset_report(labels: np.ndarray) -> dict:
+    """Class counts of the bool `labels` and whether they give more than
+    MIN_SAMPLES_PER_WEIGHT samples per network weight."""
+    n = labels.size
+    n_pos = int(np.count_nonzero(labels))
+    spw = n / N_PARAMS
+    return {
+        "n_samples": n,
+        "n_negative": n - n_pos,
+        "n_positive": n_pos,
+        "n_weights": N_PARAMS,
+        "samples_per_weight": spw,
+        "samples_per_weight_ok": spw > MIN_SAMPLES_PER_WEIGHT,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,7 @@ def gradient(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
           val_set: tuple[np.ndarray, np.ndarray],
-          cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainReport]:
+          cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, dict]:
     """Polak-Ribiere+ conjugate gradient on the 151-d weight vector, fitted to
     `train_set` and validated on `val_set`, each a nonempty (x, labels) pair of
     (n, 13) normalized features and their (n,) 0/1 labels.
@@ -208,14 +220,19 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     iterations or whenever the CG direction fails the descent test; step
     lengths come from Armijo backtracking, so the train loss never
     increases across accepted steps. The model with the best validation
-    loss seen after any accepted step is the one returned.
+    loss seen after any accepted step is the one returned, with a report
+    dict: `iterations_run` (the last accepted step), `final_train_loss` and
+    `final_val_loss` (the returned model's), `stop_reason` (max_iters,
+    val_early_stop or gradient_converged) and `loss_history`, the
+    (iteration, train loss, validation loss) of iteration 0 and of each
+    accepted step. `cli` writes it as the report file's "training" block.
     """
     w = model.weights
     f_w, grad = _objective(w, *train_set)
     g = grad()
     d = -g
 
-    best_w, best_train, best_val = w, f_w, loss(model, *val_set)
+    best_w, best_train, best_val = w, f_w, loss(w, *val_set)
     history: list[tuple[int, float, float]] = [(0, f_w, best_val)]
     failures = 0
     stop_reason = "max_iters"
@@ -253,7 +270,7 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
         d = -g_new + beta * d
         w, g, f_w = w_new, g_new, f_new
 
-        v = loss(with_weights(model, w), *val_set)
+        v = loss(w, *val_set)
         history.append((k, f_w, v))
         if v < best_val:
             best_w, best_train, best_val = w, f_w, v
@@ -264,9 +281,9 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
                 stop_reason = "val_early_stop"
                 break
 
-    report = TrainReport(iterations_run=history[-1][0], final_train_loss=best_train,
-                         final_val_loss=best_val, stop_reason=stop_reason,
-                         loss_history=tuple(history))
+    report = {"iterations_run": history[-1][0], "final_train_loss": best_train,
+              "final_val_loss": best_val, "stop_reason": stop_reason,
+              "loss_history": history}
     return with_weights(model, best_w), report
 
 
@@ -337,12 +354,13 @@ def _numbers(value, what: str) -> np.ndarray:
 
 def load_model(path: str | os.PathLike) -> MlpModel:
     """Parse a model JSON written by `save_model`; anything else, including
-    another schema_version, raises ValueError."""
+    another schema_version, raises ValueError. The fixed fields are compared
+    by type as well as value, so `1.0` or `true` is not schema_version 1."""
     doc = read_json_object(path, "model")
     for key, want in (("schema_version", MODEL_SCHEMA_VERSION),
                       ("shape", [N_FEATURES, N_HIDDEN, 1]),
                       ("activations", list(ACTIVATIONS))):
-        if doc.get(key) != want:
+        if json.dumps(doc.get(key)) != json.dumps(want):  # 1.0 and true are not 1
             raise ValueError(f"unsupported model {key} {doc.get(key)!r}, expected {want}")
     wh = _numbers(doc.get("weights_hidden"), "weights_hidden")
     wo = _numbers(doc.get("weights_output"), "weights_output")
@@ -350,12 +368,10 @@ def load_model(path: str | os.PathLike) -> MlpModel:
         raise ValueError(
             f"model has wrong parameter counts: hidden {wh.shape}, output {wo.shape}"
         )
-    norm, bands = doc.get("normalizer"), doc.get("band_order")
+    norm = doc.get("normalizer")
     if not isinstance(norm, dict):
         raise ValueError("model normalizer must be an object with min and max")
-    if not (isinstance(bands, list) and all(isinstance(b, str) for b in bands)):
-        raise ValueError("model band_order must be a list of band ids")
     return MlpModel(np.concatenate([wh.reshape(-1), wo]),
                     Normalizer(_numbers(norm.get("min"), "normalizer min"),
                                _numbers(norm.get("max"), "normalizer max")),
-                    bands)
+                    doc.get("band_order"))

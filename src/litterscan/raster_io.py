@@ -119,11 +119,12 @@ def _stage(path: str | os.PathLike) -> BinaryIO:
     return out
 
 
-def _write(files: list[tuple[str, bytes, Callable]], values) -> None:
+def _write(files: list[tuple[str, bytes, Callable | None]], values=()) -> None:
     """Stage each of `files`, (path, header, encoder), in a commit: its
     header, then each row block of `values` (an array or an iterable of
-    blocks) as its encoder makes it. The temp files, and a generator of
-    blocks, are closed when the writing ends or fails."""
+    blocks) as its encoder makes it; a file whose encoder is None is its
+    header only. The temp files, and a generator of blocks, are closed when
+    the writing ends or fails."""
     blocks = values if not isinstance(values, np.ndarray) else (
         values[r0:r1] for r0, r1 in row_ranges(*values.shape[:2]))
     with commit(), contextlib.ExitStack() as stack:
@@ -134,16 +135,9 @@ def _write(files: list[tuple[str, bytes, Callable]], values) -> None:
             out.write(header)
         for block in blocks:
             for out, (_, _, encode) in zip(outs, files):
-                out.write(encode(block))
+                if encode is not None:
+                    out.write(encode(block))
             del block  # not held while the next block is built
-
-
-def atomic_write(path: str | os.PathLike, header: bytes,
-                 values: np.ndarray | Iterable[np.ndarray] = (), dtype=None) -> None:
-    """Write `header`, then `values` in row-major order as `dtype`, to `path`.
-    `values` is an array, converted one row block at a time, or an iterable
-    of row blocks, each converted as it comes."""
-    _write([(path, header, lambda b: np.ascontiguousarray(b, dtype=dtype))], values)
 
 
 def _f4(what: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -190,8 +184,7 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
     files = []
     if raster is not None:
         sidecar = json.dumps({"rows": rows, "cols": cols}).encode()
-        files += [(raster, b"", _f4("map")),  # the sidecar is header only
-                  (f"{os.fspath(raster)}.json", sidecar, lambda b: b"")]
+        files += [(raster, b"", _f4("map")), (f"{os.fspath(raster)}.json", sidecar, None)]
     if mask is not None:
         files.append((mask, f"P5\n{cols} {rows}\n255\n".encode("ascii"), _pgm(threshold)))
     _write(files, blocks)
@@ -200,7 +193,7 @@ def write_map(blocks: np.ndarray | Iterable[np.ndarray], rows: int, cols: int,
 def write_json(path: str | os.PathLike, doc) -> None:
     """`doc` as indented JSON: manifests, models, reports and metrics. NaN
     and Infinity are not JSON: a document holding one raises ValueError."""
-    atomic_write(path, json.dumps(doc, indent=2, allow_nan=False).encode())
+    _write([(path, json.dumps(doc, indent=2, allow_nan=False).encode(), None)])
 
 
 def _reject_constant(name: str):
@@ -238,13 +231,6 @@ def check_payload_size(path: str | os.PathLike, dtype, count: int, what: str) ->
     if (n, stray) != (count, 0):
         extra = f" and {stray} stray bytes" if stray else ""
         raise ValueError(f"{what}: payload has {n} samples{extra}, expected {count}")
-
-
-def read_payload(path: str | os.PathLike, dtype, count: int, what: str) -> np.ndarray:
-    """Exactly `count` samples of `dtype` from the file at `path`; any other
-    byte length raises ValueError."""
-    check_payload_size(path, dtype, count, what)
-    return np.fromfile(path, dtype=dtype, count=count)
 
 
 def read_number(doc: dict, what: str, key: str) -> float:
@@ -324,7 +310,8 @@ def load_stack(manifest_path: str | os.PathLike) -> BandStack:
             if ent.get("dtype", "u16le") != "u16le":
                 raise ValueError(f"{what}: unsupported dtype {ent['dtype']!r}")
             payload_path = os.path.join(base, ent["file"])
-            data = read_payload(payload_path, "<u2", rows * cols, f"{what} ({payload_path})")
+            check_payload_size(payload_path, "<u2", rows * cols, f"{what} ({payload_path})")
+            data = np.fromfile(payload_path, dtype="<u2", count=rows * cols)
             bands.append(Band(spec, data.reshape(rows, cols)))
     except (KeyError, TypeError, OverflowError) as e:
         detail = f"missing {e}" if isinstance(e, KeyError) else e
@@ -339,7 +326,8 @@ def save_stack(stack: BandStack, manifest_path: str | os.PathLike) -> None:
         entries = []
         for b in stack.bands:
             payload = f"{os.path.splitext(manifest_path)[0]}_{b.spec.id}.u16"
-            atomic_write(payload, b"", b.pixels, "<u2")
+            _write([(payload, b"", lambda block: np.ascontiguousarray(block, dtype="<u2"))],
+                   b.pixels)
             entries.append({"id": b.spec.id, "wavelength_nm": b.spec.wavelength_nm,
                             "native_gsd_m": b.spec.native_gsd_m, "rows": b.rows, "cols": b.cols,
                             "file": os.path.basename(payload), "dtype": "u16le"})

@@ -159,8 +159,6 @@ def read_cube_header(manifest_path: str | os.PathLike) -> CubeHeader:
     doc = read_json_object(manifest_path, "cube manifest")
     rows, cols = read_dims(doc, what, "rows", "cols")
     ids, fname = doc.get("bands"), doc.get("file")
-    if not (isinstance(ids, list) and all(isinstance(b, str) for b in ids)):
-        raise ValueError(f"{what}: bands must be a list of band ids")
     check_band_ids(ids, what)
     if doc.get("dtype") != "f32le":
         raise ValueError(f"{what}: unsupported dtype {doc.get('dtype')!r} (f32le required)")

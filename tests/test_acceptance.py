@@ -14,20 +14,19 @@ from litterscan.dataset import (
     Normalizer,
     SplitSpec,
     balance,
-    dataset_report,
     split,
 )
-from litterscan.evaluation import ConfusionMatrix, metrics
+from litterscan.evaluation import metrics
 from litterscan.mlp import (
     N_PARAMS,
     TrainConfig,
+    dataset_report,
     gradient,
     init_model,
     load_model,
     loss,
     save_model,
     train,
-    with_weights,
 )
 from litterscan.raster_io import (
     BandStack,
@@ -60,18 +59,16 @@ def test_criterion_02_gradient_correctness():
     worst = 0.0
     for trial in range(100):
         rng = SplitMix64(trial)
-        m = init_model(trial, UNIT_NORM, CANONICAL_ORDER)
+        w = init_model(trial, UNIT_NORM, CANONICAL_ORDER).weights
         n = 1 + rng.next_below(32)
         feats = np.array([[rng.uniform(-1.5, 1.5) for _ in range(13)] for _ in range(n)])
         labels = np.array([rng.next_below(2) for _ in range(n)], dtype=np.uint8)
-        g = gradient(m, feats, labels)
-        w = m.weights
+        g = gradient(w, feats, labels)
         gfd = np.empty_like(g)
         for i in range(w.size):
             wp = w.copy(); wp[i] += h
             wm = w.copy(); wm[i] -= h
-            gfd[i] = (loss(with_weights(m, wp), feats, labels)
-                      - loss(with_weights(m, wm), feats, labels)) / (2 * h)
+            gfd[i] = (loss(wp, feats, labels) - loss(wm, feats, labels)) / (2 * h)
         rel = np.abs(g - gfd) / (np.abs(g) + np.abs(gfd) + 1e-10)
         worst = max(worst, float(rel.max()))
     assert worst < 1e-5
@@ -81,13 +78,13 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_published_matrix_arithmetic():
     # counts printed row-major with rows = output class, columns = target class
     cases = [
-        ("training", ConfusionMatrix(tn=375070, fn=4709, fp=4399, tp=71102), {
+        ("training", {"tn": 375070, "fn": 4709, "fp": 4399, "tp": 71102}, {
             "cells": (82.4, 1.0, 1.0, 15.6),
             "recall": (98.8, 93.8), "recall_comp": (1.2, 6.2),
             "precision": (98.8, 94.2), "precision_comp": (1.2, 5.8),
             "accuracy": 98.0, "error": 2.0,
         }),
-        ("test", ConfusionMatrix(tn=80231, fn=991, fp=914, tp=15424), {
+        ("test", {"tn": 80231, "fn": 991, "fp": 914, "tp": 15424}, {
             "cells": (82.2, 1.0, 0.9, 15.8),
             "recall": (98.8, 94.0), "recall_comp": (1.1, 6.0),
             "precision": (98.8, 94.4), "precision_comp": (1.2, 5.6),
@@ -137,7 +134,7 @@ def test_criterion_05_xor_capability():
         m = init_model(seed, UNIT_NORM, CANONICAL_ORDER)
         cfg = TrainConfig(max_iters=2000, max_val_failures=10**9)
         _, rep = train(m, s, s, cfg)
-        wins += rep.final_train_loss < 0.01
+        wins += rep["final_train_loss"] < 0.01
     assert wins >= 8
     report(5, f"XOR reaches MSE < 0.01 within 2000 iterations for {wins}/10 seeds")
 

@@ -235,6 +235,10 @@ MALFORMED_MODELS = {
     "schema_version_99": lambda doc: {**doc, "schema_version": 99},
     "schema_version_missing": lambda doc: {k: v for k, v in doc.items()
                                            if k != "schema_version"},
+    # equal to 1 and [13, 10, 1] in Python, but not the JSON that save_model writes
+    "schema_version_true": lambda doc: {**doc, "schema_version": True},
+    "schema_version_float": lambda doc: {**doc, "schema_version": 1.0},
+    "shape_float_and_bool": lambda doc: {**doc, "shape": [13.0, 10, True]},
     "normalizer_list": lambda doc: {**doc, "normalizer": [1]},
     "activations_relu": lambda doc: {**doc, "activations": ["relu", "logistic"]},
     "weights_object": lambda doc: {**doc, "weights_output": {"w": 1}},

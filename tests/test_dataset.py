@@ -14,12 +14,12 @@ from litterscan.dataset import (
     apply_normalizer,
     balance,
     check_grid,
-    dataset_report,
     extract_samples,
     fit_normalizer,
     normalize_set,
     split,
 )
+from litterscan.mlp import dataset_report
 from litterscan.resample import read_cube_header, save_cube
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -258,7 +258,7 @@ def test_failure_in_second_block_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(raster_io, "ROW_BLOCK_PIXELS", 2)  # one row per block
     values = np.array([[1.0, 2.0], [3.0, "not a number"]], dtype=object)
     with pytest.raises(ValueError, match="not a number"):
-        raster_io.atomic_write(tmp_path / "r.f32", b"", values, "<f4")
+        raster_io.write_f4(tmp_path / "r.f32", values, "r")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,8 +2,9 @@
 only raster_io writes, renames or removes a file, a payload is read in
 bulk in two places only, only the command line and `threshold_map` check a
 threshold, one function starts threads, only rng draws one value at a time,
-one function splits the flat weight vector into layers, and public API that
-src/ never refers to is kept only for a stated reason."""
+one function splits the flat weight vector into layers, every dataclass
+checks or converts its fields unless listed with a reason, and public API
+that src/ never refers to is kept only for a stated reason."""
 
 import ast
 from pathlib import Path
@@ -70,11 +71,11 @@ def test_only_raster_io_changes_files(path):
         assert not lines, f"{path.name} writes, renames or removes a file at lines {lines}"
 
 
-# The two bulk payload readers: `raster_io.read_payload` (band payloads,
+# The two bulk payload readers: `raster_io.load_stack` (band payloads,
 # with `np.fromfile`) and `resample._read_rows` (the cube's row blocks,
 # under `load_cube` and `map_cube_rows`, with `os.preadv`). A third would be
 # a cube read that skips the block stream and its check of every value.
-PAYLOAD_READERS = {("raster_io.py", "read_payload"), ("resample.py", "_read_rows")}
+PAYLOAD_READERS = {("raster_io.py", "load_stack"), ("resample.py", "_read_rows")}
 
 
 def top_level_uses(path: Path, names: set[str]):
@@ -158,6 +159,33 @@ def hidden_matrix_reshapes(path: Path):
 def test_only_layers_reshapes_weights_into_the_hidden_matrix():
     uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in hidden_matrix_reshapes(path)]
     assert uses == [("mlp.py", "_layers")], uses
+
+
+# A dataclass checks or converts what it holds in its `__post_init__`. One
+# that only holds values its callers already know is a pass-through wrapper:
+# its callers can pass the values, or the dict that gets written, instead.
+# The dataclasses without one are listed here with their reason.
+UNCHECKED_DATACLASSES = {
+    "resample.CubeHeader": "only read_cube_header makes one, and it checks every field",
+}
+
+
+def dataclasses_without_post_init():
+    """"module.Class" of each top-level class in src/ decorated with
+    `dataclass`, called or not, that defines no `__post_init__`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in (
+                d.func if isinstance(d, ast.Call) else d for d in top.decorator_list)}
+            methods = {item.name for item in top.body if isinstance(item, ast.FunctionDef)}
+            if "dataclass" in decorators and "__post_init__" not in methods:
+                yield f"{path.stem}.{top.name}"
+
+
+def test_every_dataclass_checks_or_converts_its_fields():
+    assert sorted(dataclasses_without_post_init()) == sorted(UNCHECKED_DATACLASSES)
 
 
 # Public API that no code in src/ refers to stays only for a stated reason:
