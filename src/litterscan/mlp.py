@@ -28,6 +28,7 @@ layers. The model, its gradient and its file all use this order.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -38,6 +39,8 @@ from .bands import check_band_ids
 from .dataset import N_FEATURES, Normalizer
 from .raster_io import read_json_object, write_json
 from .rng import SplitMix64
+
+log = logging.getLogger(__name__)
 
 N_HIDDEN = 10
 N_PARAMS = (N_FEATURES + 1) * N_HIDDEN + (N_HIDDEN + 1)  # 151
@@ -52,7 +55,7 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-10
 
-# Pixels scored at once by `_scores`: a chunk's float64 copy and (n, 10)
+# Pixels scored at once by `_scores`: a chunk's float64 copy and (10, n)
 # activations, about 2 MB, stay in a core's L2 cache whatever the row block.
 _CHUNK_PIXELS = 1 << 13
 
@@ -130,22 +133,26 @@ def _logistic(z):
 
 
 def _forward(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 13) inputs -> hidden activations (n, 10), outputs (n,), in float64:
-    the first matmul promotes float32 inputs.
+    """(n, 13) inputs -> hidden activations (10, n), outputs (n,), in float64:
+    the first matmul promotes float32 inputs. The activations are hidden-major,
+    so the bias add, tanh and every backprop step run along rows of n values.
     Huge finite weights may overflow a sum: a score that saturates is a valid
     output, and a NaN is rejected where the scores are used, so numpy's
     warnings are not printed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h = x @ wh[:, :N_FEATURES].T
-        h += wh[:, N_FEATURES]
-        np.tanh(h, out=h)  # in place: one (n, 10) array per pass
-        return h, _logistic(h @ wo[:N_HIDDEN] + wo[N_HIDDEN])
+        h = wh[:, :N_FEATURES] @ x.T
+        h += wh[:, N_FEATURES:]
+        np.tanh(h, out=h)  # in place: one (10, n) array per pass
+        return h, _logistic(wo[:N_HIDDEN] @ h + wo[N_HIDDEN])
 
 
 def _scores(wh: np.ndarray, wo: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The (n,) float64 outputs of `_forward` for the (n, 13) inputs `x`,
-    computed _CHUNK_PIXELS rows at a time: each row's score is the same
-    computation whatever the chunk, and the working set stays one chunk's."""
+    computed _CHUNK_PIXELS rows at a time, so the working set stays one
+    chunk's. A row's score is the same formula whatever the chunk, but not
+    always the same float64 bits: BLAS may round a product's sums differently
+    for another number of columns, which moves a score by a few units in its
+    last place."""
     out = np.empty(len(x))
     for i in range(0, len(x), _CHUNK_PIXELS):
         out[i:i + _CHUNK_PIXELS] = _forward(wh, wo, x[i:i + _CHUNK_PIXELS])[1]
@@ -169,12 +176,12 @@ def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
 
     def grad() -> np.ndarray:
         dz_out = (2.0 / x.shape[0]) * e * y * (1.0 - y)        # dL/dz_out, (n,)
-        g_wo = np.concatenate([dz_out @ h, [dz_out.sum()]])    # (11,)
-        dz_h = np.multiply(dz_out[:, None], wo[:N_HIDDEN])     # (n, 10)
+        g_wo = np.concatenate([h @ dz_out, [dz_out.sum()]])    # (11,)
+        dz_h = np.multiply(wo[:N_HIDDEN, None], dz_out)        # (10, n)
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)                              # 1 - h*h, in place
         dz_h *= h
-        g_wh = np.concatenate([dz_h.T @ x, dz_h.sum(axis=0)[:, None]], axis=1)  # (10, 14)
+        g_wh = np.concatenate([dz_h @ x, dz_h.sum(axis=1)[:, None]], axis=1)  # (10, 14)
         return np.concatenate([g_wh.reshape(-1), g_wo])
 
     return float(np.mean(e * e)), grad
@@ -226,6 +233,12 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     val_early_stop or gradient_converged) and `loss_history`, the
     (iteration, train loss, validation loss) of iteration 0 and of each
     accepted step. `cli` writes it as the report file's "training" block.
+
+    Each accepted step is logged at debug level: its iteration, step length
+    alpha, the number of Armijo halvings, whether the direction was restarted
+    to steepest descent (periodically or on a failed descent test), and the
+    gradient norm at the point it started from. The log does not touch the
+    returned model or report.
     """
     w = model.weights
     f_w, grad = _objective(w, *train_set)
@@ -246,13 +259,14 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
             break
 
         slope = float(g @ d)
-        if slope >= 0.0 or (k - 1) % CG_RESTART_EVERY == 0 and k > 1:
+        restart = slope >= 0.0 or (k - 1) % CG_RESTART_EVERY == 0 and k > 1
+        if restart:
             d = -g
             slope = -gnorm * gnorm
 
         # Armijo backtracking
         alpha = ARMIJO_INITIAL_STEP
-        for _ in range(60):
+        for backtracks in range(60):
             w_new = w + alpha * d
             f_new, grad = _objective(w_new, *train_set)
             if math.isfinite(f_new) and f_new <= f_w + ARMIJO_C * alpha * slope:
@@ -265,6 +279,8 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
             d = -g  # retry from steepest descent next iteration
             continue
 
+        log.debug("train step %d: alpha %r, backtracks %d, restart %s, gradient norm %.6e",
+                  k, alpha, backtracks, restart, gnorm)
         g_new = grad()
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
         d = -g_new + beta * d

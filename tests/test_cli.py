@@ -1,10 +1,15 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_band, read_float_raster
+import litterscan
 from litterscan.bands import CANONICAL_ORDER
 from litterscan import dataset
 from litterscan.cli import main
@@ -138,6 +143,35 @@ def test_train_reruns_are_byte_identical(tmp_path, scene):
                    "--out", str(model), "--seed", "7", "--max-iters", "100") == 0
         blobs.append(model.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_trace_at_debug_leaves_the_artifacts_unchanged(tmp_path, scene):
+    """At LITTERSCAN_LOG=debug, train logs one stderr line per accepted step;
+    the model and report bytes are those of a run at error level, which logs
+    nothing."""
+    cube_path, mask_path = scene
+    src = str(Path(litterscan.__file__).resolve().parent.parent)
+    outputs = {}
+    for level in ("error", "debug"):
+        model = tmp_path / level / "model.json"
+        model.parent.mkdir()
+        env = {**os.environ, "LITTERSCAN_LOG": level,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        p = subprocess.run([sys.executable, "-m", "litterscan.cli", "train", "--cube",
+                            str(cube_path), "--mask", str(mask_path), "--out", str(model),
+                            "--max-iters", "30"],
+                           env=env, capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        outputs[level] = (model.read_bytes(), (tmp_path / level / "model.json.report.json")
+                          .read_bytes(), p.stderr)
+    assert outputs["debug"][:2] == outputs["error"][:2]
+    assert outputs["error"][2] == ""
+    history = json.loads(outputs["debug"][1])["training"]["loss_history"]
+    steps = [line for line in outputs["debug"][2].splitlines()
+             if line.startswith("DEBUG litterscan.mlp: train step ")]
+    assert len(steps) == len(history) - 1 == 30
+    assert steps[0].startswith("DEBUG litterscan.mlp: train step 1: alpha 1.0, backtracks 0, "
+                               "restart False, gradient norm ")
 
 
 @pytest.mark.parametrize("train_frac, val_frac, message", [

@@ -134,6 +134,34 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-5
 
 
+def row_major_objective(flat, x, labels):
+    """Loss and gradient written sample-major, with (n, 10) activations: the
+    formulas of `_objective`, stated apart from its hidden-major layout."""
+    wh, wo = mlp._layers(flat)
+    h = np.tanh(x @ wh[:, :13].T + wh[:, 13])
+    y = _logistic(h @ wo[:10] + wo[10])
+    e = y - labels
+    dz_out = (2.0 / len(x)) * e * y * (1.0 - y)
+    dz_h = dz_out[:, None] * wo[:10] * (1.0 - h * h)
+    g_wh = np.column_stack([dz_h.T @ x, dz_h.sum(axis=0)])
+    return float(np.mean(e * e)), np.concatenate([g_wh.reshape(-1), dz_out @ h, [dz_out.sum()]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8400])
+def test_objective_matches_the_row_major_formulas(n):
+    """The hidden-major pass sums in another order, so its loss and gradient
+    agree with the sample-major formulas to rounding, not bit for bit; n = 1
+    makes the transposed input a single column."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.5, 1.5, (n, 13))
+    labels = rng.integers(0, 2, n).astype(np.uint8)
+    w = rng.uniform(-1.0, 1.0, 151)
+    f, grad = mlp._objective(w, x, labels)
+    want_f, want_g = row_major_objective(w, x, labels)
+    assert abs(f - want_f) <= 1e-12 * abs(want_f)
+    assert np.abs(grad() - want_g).max() <= 1e-12 * np.abs(want_g).max()
+
+
 def test_gradient_duplication_invariant():
     w = init_model(2, UNIT_NORM, CANONICAL_ORDER).weights
     x, labels = random_set(8, 11)

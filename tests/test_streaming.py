@@ -96,7 +96,9 @@ def artifacts(cube, model, out):
 ])
 def test_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, block_pixels):
     """... nor on the chunk size of the network, which is patched to each of
-    CHUNKS in turn: every score is the same computation on its pixel."""
+    CHUNKS in turn: a chunk's length may move a float64 score in its last
+    bits (BLAS rounds by length), which the f32 raster and masks of this
+    cube do not show."""
     cube, model = write_cube(tmp_path, ROWS, COLS), write_model(tmp_path)
     whole = artifacts(cube, model, tmp_path / "whole")  # one block, one chunk
     assert len(whole) == 13  # 5 rasters with sidecars, 3 masks
@@ -703,7 +705,7 @@ def test_train_holds_less_than_the_cube_widened_to_float64(tmp_path):
     # 2.15x. The cube pass now writes each kept pixel straight into its row
     # of the train, validation or test set: one float64 array of the 200k
     # samples (21 MB), dropped once the normalized sets exist. The peak,
-    # 1.35x (70 MB), is set inside mlp.train by its (n, 10) temporaries
+    # 1.35x (70 MB), is set inside mlp.train by its (10, n) temporaries
     # beside the normalized sets. The permutation that balances the 900k
     # majority pixels is a 7 MB int64 array, freed before the cube is read.
     assert peak < 1.45 * payload_bytes, f"{peak / payload_bytes:.2f}x the f32 payload"
