@@ -1,22 +1,29 @@
 """13-10-1 multilayer perceptron: tanh hidden layer, logistic output,
 mean-squared-error loss, exact backprop gradients, and a Polak-Ribiere+
-conjugate-gradient trainer with Armijo backtracking and validation-based
-early stopping.
+conjugate-gradient trainer with a strong-Wolfe line search and
+validation-based early stopping.
 
 One objective, `_objective`, evaluates a flat weight vector: one forward pass
-gives the loss, and the gradient is backpropagated from its activations.
-`loss`, `gradient`, `forward_batch` and every line-search probe take that
-vector, so training spends one forward pass per weight vector it evaluates
-and builds one model, the one it returns. Scores without gradients
+gives the loss, and the gradient is backpropagated from its activations only
+when asked for, which a line search does only for a probe whose loss it can
+accept. `loss`, `gradient`, `forward_batch` and every line-search probe take
+that vector, so training spends one forward pass per weight vector it
+evaluates and builds one model, the one it returns. The output layer's
+gradient sums over samples in `np.einsum`, not in a BLAS matrix-vector
+product, which OpenBLAS splits between its threads; with it, a trained model
+has the same bytes at one and at two BLAS threads, which `tests/test_mlp.py`
+checks on 120 000 samples. Scores without gradients
 (`forward_batch`, `predict_map`) go through `_scores`, which runs the same
 `_forward` on a fixed chunk of rows at a time, so its working set does not
 grow with the rows it is given. An `MlpModel` joins the vector to the
 normalizer and band order that a model file and a prediction need.
 
 The optimizer's constants are fixed (Nocedal & Wright, Numerical Optimization,
-sections 3.1 and 5.2): CG restarts every N_PARAMS iterations; Armijo search
-starts at step 1, halves it on rejection and uses sufficient-decrease c = 1e-4;
-training stops when the gradient norm falls below GRAD_TOL.
+sections 3.5 and 5.2): CG restarts every N_PARAMS iterations; the line search
+starts at the last accepted step (1 before the first), doubles it until a
+probe brackets a step, then bisects, and accepts a step that meets the strong
+Wolfe conditions with c1 = 1e-4 and c2 = 0.1, within WOLFE_MAX_PROBES loss
+evaluations; training stops when the gradient norm falls below GRAD_TOL.
 
 Flat weight layout (151 = 14*10 + 11): the 10x14 hidden matrix row-major
 (columns 0..12 input weights, column 13 bias), then the 11 output weights
@@ -50,9 +57,9 @@ ACTIVATIONS = ("tanh", "logistic")  # hidden, output; the only pair supported
 SCORE_THRESHOLD = 0.5  # a pixel scored at or above it is plastic: predict's default
 
 CG_RESTART_EVERY = N_PARAMS
-ARMIJO_INITIAL_STEP = 1.0
-ARMIJO_SHRINK = 0.5
-ARMIJO_C = 1e-4
+WOLFE_C1 = 1e-4  # sufficient decrease
+WOLFE_C2 = 0.1  # curvature
+WOLFE_MAX_PROBES = 30  # loss evaluations per line search
 GRAD_TOL = 1e-10
 
 # Pixels scored at once by `_scores`: a chunk's float64 copy and (10, n)
@@ -82,9 +89,9 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Stopping rules of `train`. The PR+ restart period, the Armijo
+    """Stopping rules of `train`. The PR+ restart period, the line search's
     constants and the gradient tolerance are fixed: see CG_RESTART_EVERY,
-    ARMIJO_* and GRAD_TOL."""
+    WOLFE_* and GRAD_TOL."""
 
     max_iters: int = 1000
     max_val_failures: int = 6
@@ -176,7 +183,9 @@ def _objective(flat: np.ndarray, x: np.ndarray, labels: np.ndarray):
 
     def grad() -> np.ndarray:
         dz_out = (2.0 / x.shape[0]) * e * y * (1.0 - y)        # dL/dz_out, (n,)
-        g_wo = np.concatenate([h @ dz_out, [dz_out.sum()]])    # (11,)
+        # (11,); einsum, not BLAS: a threaded gemv splits this sum over
+        # samples between its threads, and its last bits change with them
+        g_wo = np.concatenate([np.einsum("ij,j->i", h, dz_out), [dz_out.sum()]])
         dz_h = np.multiply(wo[:N_HIDDEN, None], dz_out)        # (10, n)
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)                              # 1 - h*h, in place
@@ -216,6 +225,43 @@ def dataset_report(labels: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # training
 
+def _probe(w: np.ndarray, train_set: tuple[np.ndarray, np.ndarray],
+           accept) -> tuple[float, np.ndarray | None]:
+    """The training loss at `w`, and its gradient when `accept(loss)` holds,
+    else None. The pass's activations are freed on return, so a search holds
+    one pass's at a time."""
+    f, grad = _objective(w, *train_set)
+    return f, (grad() if accept(f) else None)
+
+
+def _wolfe_search(w: np.ndarray, f_w: float, d: np.ndarray, slope: float, alpha: float,
+                  train_set: tuple[np.ndarray, np.ndarray]):
+    """A step along the descent direction `d` from `w` (loss `f_w`, slope
+    g.d < 0) that meets both strong-Wolfe conditions (Nocedal & Wright,
+    Algorithms 3.5 and 3.6): sufficient decrease, f <= f_w + c1*a*slope, and
+    curvature, |g(a).d| <= c2*|slope|. The first probe is at `alpha`; while
+    no probe has bracketed a step the next doubles it, and once one has, the
+    next bisects the bracket between lo, the best acceptable step so far,
+    and hi. Only a probe with sufficient decrease and a loss below lo's has
+    its gradient computed. Returns (step, weights, loss, gradient, probes),
+    or None when WOLFE_MAX_PROBES probes found no such step."""
+    lo, f_lo, hi = 0.0, f_w, math.inf  # hi = inf: the bracket is still open
+    for probes in range(1, WOLFE_MAX_PROBES + 1):
+        w_a = w + alpha * d
+        f, g = _probe(w_a, train_set, lambda f: f <= f_w + WOLFE_C1 * alpha * slope and f < f_lo)
+        if g is None:  # too long, or no better than lo: a step lies between lo and alpha
+            hi = alpha
+        else:
+            d_slope = float(g @ d)
+            if abs(d_slope) <= -WOLFE_C2 * slope:
+                return alpha, w_a, f, g, probes
+            if d_slope * (hi - lo) >= 0.0:  # the loss rises from alpha towards hi
+                hi = lo  # so a step lies between alpha and lo
+            lo, f_lo = alpha, f
+        alpha = 2.0 * alpha if hi == math.inf else 0.5 * (lo + hi)
+    return None
+
+
 def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
           val_set: tuple[np.ndarray, np.ndarray],
           cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, dict]:
@@ -224,9 +270,12 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     (n, 13) normalized features and their (n,) 0/1 labels.
 
     Direction restarts to steepest descent every CG_RESTART_EVERY
-    iterations or whenever the CG direction fails the descent test; step
-    lengths come from Armijo backtracking, so the train loss never
-    increases across accepted steps. The model with the best validation
+    iterations or whenever the CG direction fails the descent test. Step
+    lengths come from a strong-Wolfe search (`_wolfe_search`) that starts at
+    the last accepted step, or at 1 before the first, so the train loss
+    never increases across accepted steps. A search that finds no step
+    restarts the direction to steepest descent, or, if it already was,
+    stops training as gradient_converged. The model with the best validation
     loss seen after any accepted step is the one returned, with a report
     dict: `iterations_run` (the last accepted step), `final_train_loss` and
     `final_val_loss` (the returned model's), `stop_reason` (max_iters,
@@ -235,15 +284,16 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
     accepted step. `cli` writes it as the report file's "training" block.
 
     Each accepted step is logged at debug level: its iteration, step length
-    alpha, the number of Armijo halvings, whether the direction was restarted
-    to steepest descent (periodically or on a failed descent test), and the
-    gradient norm at the point it started from. The log does not touch the
+    alpha, the number of loss evaluations its search made, whether the
+    direction was restarted to steepest descent (periodically or on a failed
+    descent test), and the gradient norm at the point it started from. A
+    search that finds no step is logged too. The log does not touch the
     returned model or report.
     """
     w = model.weights
-    f_w, grad = _objective(w, *train_set)
-    g = grad()
+    f_w, g = _probe(w, train_set, lambda f: True)
     d = -g
+    alpha = 1.0
 
     best_w, best_train, best_val = w, f_w, loss(w, *val_set)
     history: list[tuple[int, float, float]] = [(0, f_w, best_val)]
@@ -264,24 +314,20 @@ def train(model: MlpModel, train_set: tuple[np.ndarray, np.ndarray],
             d = -g
             slope = -gnorm * gnorm
 
-        # Armijo backtracking
-        alpha = ARMIJO_INITIAL_STEP
-        for backtracks in range(60):
-            w_new = w + alpha * d
-            f_new, grad = _objective(w_new, *train_set)
-            if math.isfinite(f_new) and f_new <= f_w + ARMIJO_C * alpha * slope:
-                break
-            alpha *= ARMIJO_SHRINK
-        else:
-            if np.array_equal(d, -g):
-                stop_reason = "gradient_converged"  # no decrease along -g
+        step = _wolfe_search(w, f_w, d, slope, alpha, train_set)
+        if step is None:
+            converged = np.array_equal(d, -g)  # no step along -g either
+            log.debug("train search %d: no strong-Wolfe step in %d probes, %s", k,
+                      WOLFE_MAX_PROBES, "stop" if converged else "restart")
+            if converged:
+                stop_reason = "gradient_converged"
                 break
             d = -g  # retry from steepest descent next iteration
             continue
+        alpha, w_new, f_new, g_new, probes = step
 
-        log.debug("train step %d: alpha %r, backtracks %d, restart %s, gradient norm %.6e",
-                  k, alpha, backtracks, restart, gnorm)
-        g_new = grad()
+        log.debug("train step %d: alpha %r, probes %d, restart %s, gradient norm %.6e",
+                  k, alpha, probes, restart, gnorm)
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
         d = -g_new + beta * d
         w, g, f_w = w_new, g_new, f_new

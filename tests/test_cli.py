@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,9 +170,10 @@ def test_train_trace_at_debug_leaves_the_artifacts_unchanged(tmp_path, scene):
     history = json.loads(outputs["debug"][1])["training"]["loss_history"]
     steps = [line for line in outputs["debug"][2].splitlines()
              if line.startswith("DEBUG litterscan.mlp: train step ")]
-    assert len(steps) == len(history) - 1 == 30
-    assert steps[0].startswith("DEBUG litterscan.mlp: train step 1: alpha 1.0, backtracks 0, "
-                               "restart False, gradient norm ")
+    assert len(steps) == len(history) - 1 > 0
+    for (k, _, _), line in zip(history[1:], steps):
+        assert re.fullmatch(rf"DEBUG litterscan.mlp: train step {k}: alpha \S+, probes \d+, "
+                            r"restart (True|False), gradient norm \S+", line), line
 
 
 @pytest.mark.parametrize("train_frac, val_frac, message", [

@@ -3,9 +3,9 @@
 Each seed runs ``make-synthetic -> train -> predict --map-out`` on the
 default 100x100 scene through ``cli.main``. A refactor of the numerics must
 leave every digest unchanged; a change that alters an output on purpose
-regenerates the fixture and says why in CHANGES.md:
+regenerates the fixture, at one BLAS thread, and says why in CHANGES.md:
 
-    PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.json
 """
 
 import hashlib

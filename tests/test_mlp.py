@@ -1,4 +1,10 @@
 import json
+import logging
+import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,30 +212,142 @@ def test_train_deterministic():
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_one_forward_pass_per_evaluated_weight_vector(monkeypatch):
-    # with no backtracking, k accepted steps evaluate k + 1 weight vectors
-    # on the train set and k + 1 on the validation set, and the one model
-    # built is the one returned
+def step_lines(caplog) -> list[str]:
+    """The trainer's debug lines, one per accepted step and one per search
+    that found no step."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "litterscan.mlp" and r.getMessage().startswith("train s")]
+
+
+def test_one_forward_pass_per_evaluated_weight_vector(monkeypatch, caplog):
+    # each weight vector the trainer evaluates costs one forward pass: on the
+    # train set the starting point and every line-search probe, on the
+    # validation set the starting point and every accepted step; the one
+    # model built is the one returned
     s, v = random_set(40, 1), random_set(10, 2)
     m = init_model(3, UNIT_NORM, CANONICAL_ORDER)
-    passes, models = [0], [0]
-    forward_impl, post_init = mlp._forward, MlpModel.__post_init__
+    passes, evaluated, models = [0], [], [0]
+    forward_impl, objective_impl = mlp._forward, mlp._objective
+    post_init = MlpModel.__post_init__
 
     def counting_forward(*args):
         passes[0] += 1
         return forward_impl(*args)
+
+    def recording_objective(flat, x, labels):
+        evaluated.append((x is s[0], flat.tobytes()))
+        return objective_impl(flat, x, labels)
 
     def counting_post_init(self):
         models[0] += 1
         post_init(self)
 
     monkeypatch.setattr(mlp, "_forward", counting_forward)
+    monkeypatch.setattr(mlp, "_objective", recording_objective)
     monkeypatch.setattr(MlpModel, "__post_init__", counting_post_init)
+    caplog.set_level(logging.DEBUG, logger="litterscan.mlp")
     _, report = train(m, s, v, TrainConfig(max_iters=5, max_val_failures=10**9))
     k = report["iterations_run"]
     assert (k, report["stop_reason"]) == (5, "max_iters")
-    assert passes[0] == 2 * k + 2
+    probes = [int(re.search(r", probes (\d+),", line)[1]) for line in step_lines(caplog)]
+    assert len(probes) == k and sum(probes) > k  # some search probed more than once
+    assert passes[0] == len(evaluated) == len(set(evaluated))
+    assert sum(on_train for on_train, _ in evaluated) == 1 + sum(probes)
+    assert sum(not on_train for on_train, _ in evaluated) == k + 1
     assert models[0] == 1
+
+
+def test_every_accepted_step_meets_the_strong_wolfe_conditions():
+    # the iterates, from outside the trainer: with the train set as the
+    # validation set every accepted step lowers the validation loss, so a run
+    # capped at j iterations returns the j-th iterate
+    s = random_set(60, 4)
+    m = init_model(4, UNIT_NORM, CANONICAL_ORDER)
+    iterates = [m.weights]
+    for j in range(1, 13):
+        fitted, report = train(m, s, s, TrainConfig(max_iters=j, max_val_failures=10**9))
+        assert report["iterations_run"] == j
+        iterates.append(fitted.weights)
+    for w0, w1 in zip(iterates, iterates[1:]):
+        p = w1 - w0  # alpha * d; both conditions are invariant to its scale
+        slope0 = float(gradient(w0, *s) @ p)
+        slope1 = float(gradient(w1, *s) @ p)
+        assert slope0 < 0.0
+        tol = 1e-9 * abs(slope0)  # rounding of p = w1 - w0
+        assert loss(w1, *s) <= loss(w0, *s) + mlp.WOLFE_C1 * slope0 + tol
+        assert abs(slope1) <= mlp.WOLFE_C2 * abs(slope0) + tol
+
+
+def test_a_search_that_finds_no_step_restarts_then_stops(monkeypatch, caplog):
+    # after the first accepted step every train loss is NaN, so no probe is
+    # acceptable: the search along the PR+ direction uses up its probes and
+    # restarts the direction to -g, the one along -g does too, and training
+    # stops as gradient_converged with the model of the one accepted step
+    s, v = random_set(40, 1), random_set(10, 2)
+    m = init_model(3, UNIT_NORM, CANONICAL_ORDER)
+    one_step, _ = train(m, s, v, TrainConfig(max_iters=1))
+    objective_impl = mlp._objective
+    val_evaluations, failed = [0], [0]
+
+    def failing_after_one_step(flat, x, labels):
+        f, grad = objective_impl(flat, x, labels)
+        if x is v[0]:
+            val_evaluations[0] += 1
+        elif val_evaluations[0] >= 2:
+            failed[0] += 1
+            return math.nan, grad
+        return f, grad
+
+    monkeypatch.setattr(mlp, "_objective", failing_after_one_step)
+    caplog.set_level(logging.DEBUG, logger="litterscan.mlp")
+    fitted, report = train(m, s, v, TrainConfig(max_iters=50, max_val_failures=10**9))
+    assert (report["iterations_run"], report["stop_reason"]) == (1, "gradient_converged")
+    assert len(report["loss_history"]) == 2
+    assert np.array_equal(fitted.weights, one_step.weights)
+    assert failed[0] == 2 * mlp.WOLFE_MAX_PROBES
+    lines = step_lines(caplog)
+    assert lines[0].startswith("train step 1: alpha ")
+    assert lines[1:] == [
+        f"train search 2: no strong-Wolfe step in {mlp.WOLFE_MAX_PROBES} probes, restart",
+        f"train search 3: no strong-Wolfe step in {mlp.WOLFE_MAX_PROBES} probes, stop"]
+
+
+# Ten iterations on 120 000 samples, enough for OpenBLAS to split a
+# matrix-vector product over the samples between two threads; prints the
+# SHA-256 of the fitted weights.
+THREADS_RUN = """
+import hashlib
+import numpy as np
+from litterscan.bands import CANONICAL_ORDER
+from litterscan.dataset import Normalizer
+from litterscan.mlp import TrainConfig, init_model, train
+from litterscan.rng import SplitMix64
+
+n_train, n_val = 120_000, 20_000
+x = SplitMix64(0).uniforms(-1.5, 1.5, (n_train + n_val) * 13).reshape(-1, 13)
+labels = (x[:, :6].sum(axis=1) > x[:, 6:].sum(axis=1)).astype(np.uint8)
+model = init_model(3, Normalizer(np.full(13, -1.0), np.full(13, 1.0)), CANONICAL_ORDER)
+fitted, _ = train(model, (x[:n_train], labels[:n_train]), (x[n_train:], labels[n_train:]),
+                  TrainConfig(max_iters=10))
+print(hashlib.sha256(fitted.weights.tobytes()).hexdigest())
+"""
+
+
+def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
+    # a multithreaded BLAS splits a product's sums between its threads, so a
+    # sum over samples that goes through BLAS changes its last bits with the
+    # thread count; the trainer's must not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlp.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        p = subprocess.run([sys.executable, "-c", THREADS_RUN], env=env, capture_output=True,
+                           text=True, timeout=300)
+        assert p.returncode == 0, p.stderr
+        digests.append(p.stdout)
+    assert len(digests[0].strip()) == 64 and digests[0] == digests[1]
 
 
 def test_train_loss_non_increasing():

@@ -1,13 +1,17 @@
 """Frozen SHA-256 digests of `mlp.train` on runs that no CLI golden covers.
 
-Every golden and benchmark training run accepts the full Armijo step at each
-iteration and stops at max_iters. These cases train on features drawn from
-N(0, 30^2), which saturate the tanh layer, so the line search backtracks
-often; the second case also stops on validation failures. A refactor of the
-trainer must leave every digest unchanged; a change that alters training on
-purpose regenerates the fixture and says why in CHANGES.md:
+Every golden and benchmark training run is on a separable scene: its line
+searches only lengthen the step, and it stops as gradient_converged within
+about ten iterations. These cases train on features drawn from N(0, 30^2),
+which saturate the tanh layer, so the strong-Wolfe search often has to
+bisect back to a shorter step than the one it started from; the first case
+runs all its iterations, and the second stops on validation failures. A
+refactor of the trainer must leave every digest unchanged; a change that
+alters training on purpose regenerates the fixture, at one BLAS thread, and
+says why in CHANGES.md:
 
-    PYTHONPATH=src python tests/test_train_golden.py > tests/fixtures/train_golden.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_train_golden.py \
+        > tests/fixtures/train_golden.json
 """
 
 import hashlib
